@@ -4,7 +4,6 @@ constraints: simulation engine, metrics, and experiment CLI."""
 __version__ = "0.1.0"
 
 from .engine import (
-    AgentState,
     InvariantViolation,
     RoundRecord,
     RunConfig,
@@ -36,7 +35,6 @@ from .problems import RegressionProblemSpec, compute_bounds
 from .schedule import ScheduleParams, default_gamma0, round_params
 
 __all__ = [
-    "AgentState",
     "Box",
     "ComparatorOptions",
     "ComparatorResult",

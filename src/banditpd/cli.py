@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,20 +74,20 @@ PRESETS: dict[str, dict] = {
         "schedule": {"mode": "custom", "gamma0": 0.15, "theorem_compliant": False,
                      "overrides": {"alpha_scale": 1.0, "alpha_exponent": 1.0,
                                    "xi_scale": 1.0, "delta_scale": 0.01}},
-        "graph": {"edge_prob": 0.1, "backbone": True, "window": 4},
+        "graph": {"edge_prob": 0.1, "backbone": True},
         "run": {"horizon": 1000, "seeds": [101, 102, 103, 104, 105],
                 "regret": False},
     },
     "desk-convex-c05": {
         "problem": _desk_problem(),
         "schedule": {"mode": "theorem1", "c": 0.5},
-        "graph": {"edge_prob": 0.3, "backbone": True, "window": 4},
+        "graph": {"edge_prob": 0.3, "backbone": True},
         "run": {"horizon": 2000, "seeds": [101, 102, 103]},
     },
     "desk-strongly-convex-t4": {
         "problem": _desk_problem(mu_reg=1.0),
         "schedule": {"mode": "theorem4", "mu": 1.0},
-        "graph": {"edge_prob": 0.3, "backbone": True, "window": 4},
+        "graph": {"edge_prob": 0.3, "backbone": True},
         "run": {"horizon": 2000, "seeds": [101, 102, 103, 104, 105]},
     },
     # desk-convex-c05 with the constraint offsets pushed out, enlarging the
@@ -97,7 +95,7 @@ PRESETS: dict[str, dict] = {
     "desk-slater-margin-sweep": {
         "problem": _desk_problem(b_offset=1.0),
         "schedule": {"mode": "theorem1", "c": 0.5},
-        "graph": {"edge_prob": 0.3, "backbone": True, "window": 4},
+        "graph": {"edge_prob": 0.3, "backbone": True},
         "run": {"horizon": 2000, "seeds": [101, 102, 103, 104, 105]},
     },
 }
@@ -109,9 +107,9 @@ PRESETS: dict[str, dict] = {
 _SECTIONS = {
     "problem": {"n", "p", "q_i", "m_i", "halfwidth", "b_offset", "mu_reg"},
     "schedule": {"mode", "c", "gamma0", "mu", "theorem_compliant", "overrides"},
-    "graph": {"edge_prob", "backbone", "window"},
+    "graph": {"edge_prob", "backbone"},
     "run": {"horizon", "seeds", "variant", "out", "regret", "check_invariants",
-            "agent_workers", "tail_fraction", "init_rule", "comparator"},
+            "tail_fraction", "init_rule", "comparator"},
 }
 _OVERRIDE_KEYS = {"alpha_scale", "alpha_exponent", "xi_scale", "delta_scale"}
 _COMPARATOR_KEYS = {"tol", "max_iter"}
@@ -131,14 +129,12 @@ class ExperimentConfig:
     schedule: ScheduleParams
     edge_prob: float
     backbone: bool
-    window: int
     horizon: int
     seeds: tuple[int, ...]
     variant: str
     out: str
     regret: bool
     check_invariants: str
-    agent_workers: int
     tail_fraction: float
     init_rule: str
     comparator: ComparatorOptions
@@ -163,12 +159,10 @@ class ExperimentConfig:
                          "mu": sched.mu,
                          "theorem_compliant": sched.theorem_compliant,
                          "overrides": vars(sched.overrides) if sched.overrides else None},
-            "graph": {"edge_prob": self.edge_prob, "backbone": self.backbone,
-                      "window": self.window},
+            "graph": {"edge_prob": self.edge_prob, "backbone": self.backbone},
             "run": {"horizon": self.horizon, "seeds": list(self.seeds),
                     "variant": self.variant, "out": self.out, "regret": self.regret,
                     "check_invariants": self.check_invariants,
-                    "agent_workers": self.agent_workers,
                     "tail_fraction": self.tail_fraction, "init_rule": self.init_rule,
                     "comparator": {"tol": self.comparator.tol,
                                    "max_iter": self.comparator.max_iter}},
@@ -249,9 +243,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     check = _get(raw, "run", "check_invariants", "strict", str)
     if check not in ("strict", "off"):
         raise ConfigError("run.check_invariants must be 'strict' or 'off'")
-    agent_workers = _get(raw, "run", "agent_workers", 1, int)
-    if agent_workers < 1:
-        raise ConfigError("run.agent_workers must be >= 1")
     tail_fraction = _get(raw, "run", "tail_fraction", 0.5, float)
     if not (0.0 < tail_fraction <= 1.0):
         raise ConfigError("run.tail_fraction must be in (0, 1]")
@@ -298,17 +289,14 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     edge_prob = _get(raw, "graph", "edge_prob", 0.0, float)
     backbone = _get(raw, "graph", "backbone", True, bool)
-    window = _get(raw, "graph", "window", 4, int)
-    if window < 1:
-        raise ConfigError("graph.window must be >= 1")
     try:
         config = ExperimentConfig(
             n=n, p=p, q_i=q_i, m_i=m_i, halfwidth=halfwidth, b_offset=b_offset,
             mu_reg=mu_reg, schedule=schedule, edge_prob=edge_prob,
-            backbone=backbone, window=window, horizon=horizon,
+            backbone=backbone, horizon=horizon,
             seeds=tuple(int(s) for s in seeds), variant=variant, out=out,
-            regret=regret, check_invariants=check, agent_workers=agent_workers,
-            tail_fraction=tail_fraction, init_rule=init_rule, comparator=comparator,
+            regret=regret, check_invariants=check, tail_fraction=tail_fraction,
+            init_rule=init_rule, comparator=comparator,
         )
         config.graph_schedule(config.seeds[0])  # triggers graph validation
     except ValueError as exc:
@@ -365,6 +353,7 @@ def _csv_lines(checkpoints, regret, ccv, loss, step, dual) -> list[str]:
 class SeedOutcome:
     seed: int
     fingerprint: str
+    trace_digest: str
     invariant_counters: dict[str, int]
     checkpoints: np.ndarray
     net_regret: np.ndarray
@@ -379,21 +368,20 @@ class ComparatorFailure(RuntimeError):
     pass
 
 
-def _run_seed(config: ExperimentConfig, seed: int, agent_workers: int) -> SeedOutcome:
+def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     spec = config.problem_spec(seed)
     bounds = compute_bounds(spec, config.horizon)
     run_cfg = RunConfig(
         problem=spec, schedule=config.schedule, graph=config.graph_schedule(seed),
         variant=config.variant, init_rule=config.init_rule,
         check_invariants=config.check_invariants, bounds=bounds,
-        agent_workers=agent_workers,
     )
     trace = run_horizon(config.horizon, run_cfg)
     rounds = trace.rounds
     checkpoints = log_checkpoints(rounds)
     empty = np.array([])
     if rounds == 0:
-        return SeedOutcome(seed, trace.fingerprint(), trace.invariant_counters,
+        return SeedOutcome(seed, trace.fingerprint(), trace.digest(), trace.invariant_counters,
                            checkpoints, empty, empty, empty, empty, empty, None)
 
     ev = evaluate_trace(trace)
@@ -419,22 +407,9 @@ def _run_seed(config: ExperimentConfig, seed: int, agent_workers: int) -> SeedOu
                 f"(max_violation={comp.max_violation:.3g})")
         regret = network_regret(trace, comp, ev).select(checkpoints).values
 
-    return SeedOutcome(seed, trace.fingerprint(), trace.invariant_counters,
+    return SeedOutcome(seed, trace.fingerprint(), trace.digest(), trace.invariant_counters,
                        checkpoints, regret, ccv, loss, mean_step, mean_dual,
                        comparator_info)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("BANDITPD_THREADS")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"BANDITPD_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ConfigError("BANDITPD_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _fit_or_error(series: MetricSeries, tail_fraction: float):
@@ -446,17 +421,8 @@ def _fit_or_error(series: MetricSeries, tail_fraction: float):
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Run all seeds, write outputs under config.out, return an exit code."""
-    cap = _thread_cap()
-    agent_workers = min(config.agent_workers, cap)
-    seed_workers = min(len(config.seeds), cap)
-
     try:
-        if seed_workers > 1:
-            with ThreadPoolExecutor(max_workers=seed_workers) as pool:
-                outcomes = list(pool.map(
-                    lambda s: _run_seed(config, s, agent_workers), config.seeds))
-        else:
-            outcomes = [_run_seed(config, s, agent_workers) for s in config.seeds]
+        outcomes = [_run_seed(config, s) for s in config.seeds]
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -517,6 +483,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "invariant_violations": totals,
         "seeds": [
             {"seed": oc.seed, "fingerprint": oc.fingerprint,
+             "trace_digest": oc.trace_digest,
              "invariant_counters": oc.invariant_counters,
              "comparator": oc.comparator}
             for oc in outcomes

@@ -4,15 +4,14 @@ One round, per agent: mix neighbours' primal variables into a consensus point,
 probe the private loss and constraints at that point and at a sphere-perturbed
 probe, refresh the dual multiplier from the clipped constraint values, build
 the zeroth-order descent direction, and step onto the shrunk decision set.
-Rounds read only the previous round's snapshot, so per-agent updates commute:
-serial and threaded execution produce bitwise-identical traces.
+The primal state is one (n, p) array Z, one row per agent; round t reads only
+Z_t and returns Z_{t+1}, so per-agent updates never see each other's output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,8 @@ VARIANTS = ("paper", "clipped-primal")
 MEMBERSHIP_TOL = 1e-9
 STEP_TOL = 1e-9
 
+TRACE_ARRAYS = ("x_hist", "loss", "g_clipped", "direction_norm", "step_norm", "dual_norm")
+
 INVARIANT_NAMES = (
     "dual_nonneg",
     "shrunk_membership",
@@ -49,16 +50,6 @@ INVARIANT_NAMES = (
 
 class InvariantViolation(RuntimeError):
     """An algorithm invariant failed at runtime; indicates misconfiguration."""
-
-
-@dataclass
-class AgentState:
-    """Primal variable z, consensus point x (None before the first mix), dual q."""
-
-    z: np.ndarray
-    q: np.ndarray
-    x: np.ndarray | None = None
-    last_step_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,6 @@ class RunConfig:
     init_rule: str = "zeros"
     check_invariants: str = "strict"  # or "off"
     bounds: ProblemBounds | None = None
-    agent_workers: int = 1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -92,8 +82,6 @@ class RunConfig:
             raise ValueError(f"unknown init_rule {self.init_rule!r}")
         if self.check_invariants not in ("strict", "off"):
             raise ValueError("check_invariants must be 'strict' or 'off'")
-        if self.agent_workers < 1:
-            raise ValueError("agent_workers must be >= 1")
 
 
 @dataclass
@@ -116,20 +104,14 @@ class RunTrace:
     def rounds(self) -> int:
         return self.x_hist.shape[0]
 
-    def record(self, t: int) -> RoundRecord:
-        """RoundRecord view of round t (1-based)."""
-        k = t - 1
-        if not (0 <= k < self.rounds):
-            raise IndexError(f"round {t} outside executed range 1..{self.rounds}")
-        return RoundRecord(
-            t=t,
-            x=self.x_hist[k],
-            loss=self.loss[k],
-            g_clipped=self.g_clipped[k],
-            direction_norm=self.direction_norm[k],
-            step_norm=self.step_norm[k],
-            dual_norm=self.dual_norm[k],
-        )
+    def digest(self) -> str:
+        """sha256 of the trajectory arrays, each prefixed by name:dtype:shape."""
+        h = hashlib.sha256()
+        for name in TRACE_ARRAYS:
+            arr = getattr(self, name)
+            h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
 
     def fingerprint(self) -> str:
         """Stable hash of the run identity (problem, schedule, variant, horizon)."""
@@ -146,41 +128,27 @@ class RunTrace:
 
 
 def init_agents(n, box: Box, xi1: float, init_rule: str = "zeros",
-                streams: StreamFactory | None = None, m: int = 1) -> list[AgentState]:
-    """Fresh agent states with z in the (1 - xi1)-shrunk box and zero duals."""
+                streams: StreamFactory | None = None) -> np.ndarray:
+    """Initial primal state: one row per agent, in the (1 - xi1)-shrunk box."""
     if not (0.0 < xi1 <= 1.0):
         raise ValueError("xi1 must be in (0, 1]")
+    if init_rule not in ("zeros", "uniform"):
+        raise ValueError(f"unknown init_rule {init_rule!r}")
     half = (1.0 - xi1) * box.halfwidth
-    states = []
-    for i in range(1, n + 1):
-        if init_rule == "zeros" or half == 0.0:
-            z = np.zeros(box.dim)
-        elif init_rule == "uniform":
-            if streams is None:
-                raise ValueError("uniform init needs a StreamFactory")
-            z = streams.agent_round(i, 0, PURPOSE_INIT).uniform(-half, half, size=box.dim)
-        else:
-            raise ValueError(f"unknown init_rule {init_rule!r}")
-        states.append(AgentState(z=z, q=np.zeros(m)))
-    return states
+    Z = np.zeros((n, box.dim))
+    if init_rule == "uniform" and half > 0.0:
+        if streams is None:
+            raise ValueError("uniform init needs a StreamFactory")
+        for i in range(1, n + 1):
+            Z[i - 1] = streams.agent_round(i, 0, PURPOSE_INIT).uniform(-half, half, size=box.dim)
+    return Z
 
 
-def consensus_step(states: list[AgentState], W: np.ndarray) -> np.ndarray:
-    """Mix primal variables: x_i = sum_j W_ij z_j. Returns the stacked (n, p) result."""
-    Z = np.stack([s.z for s in states])
-    if W.shape != (len(states), len(states)):
+def consensus_step(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Mix primal variables: x_i = sum_j W_ij z_j, stacked as an (n, p) array."""
+    if W.shape != (Z.shape[0], Z.shape[0]):
         raise ValueError("mixing matrix dimension mismatch")
-    X = W @ Z
-    for s, x in zip(states, X):
-        s.x = x
-    return X
-
-
-def dual_update(g_at_x, gamma: float) -> np.ndarray:
-    """Exact maximizer of the regularized dual: gamma * clip(g, 0)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    return gamma * clip_nonneg(g_at_x)
+    return W @ Z
 
 
 def assemble_direction(grad_f_est: np.ndarray, jac_g_est: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -188,16 +156,6 @@ def assemble_direction(grad_f_est: np.ndarray, jac_g_est: np.ndarray, q: np.ndar
     if jac_g_est.shape != (grad_f_est.shape[0], q.shape[0]):
         raise ValueError("direction shape mismatch")
     return grad_f_est + jac_g_est @ q
-
-
-def primal_step(state: AgentState, omega: np.ndarray, alpha: float, xi_next: float, box: Box) -> AgentState:
-    """Gradient step from the consensus point, projected onto the shrunk box."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    z_new = project_scaled(box, state.x - alpha * omega, xi_next)
-    state.z = z_new
-    state.last_step_norm = float(np.linalg.norm(z_new - state.x))
-    return state
 
 
 def _update_agent(i, x_i, t, sched, xi_next, box, adversary, streams, variant):
@@ -260,55 +218,42 @@ def _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters
                 raise InvariantViolation(f"displacement bound failed at t={t}, agent {idx + 1}")
 
 
-def run_round(t, states, schedule: ScheduleParams, graph: GraphSchedule, adversary,
+def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule, adversary,
               streams: StreamFactory, variant: str = "paper", *, box: Box,
               check_invariants: str = "strict", bounds: ProblemBounds | None = None,
-              executor: ThreadPoolExecutor | None = None,
-              counters: dict[str, int] | None = None) -> tuple[list[AgentState], RoundRecord]:
-    """One synchronous round at index t; returns refreshed states and the record."""
+              counters: dict[str, int] | None = None) -> tuple[np.ndarray, RoundRecord]:
+    """One synchronous round at index t; returns the next primal state and the record."""
     sched = round_params(schedule, t)
     xi_next = round_params(schedule, t + 1).xi
-    W = build_mixing(generate_round_graph(graph, t), len(states)).entries
-    X = consensus_step(states, W)
-
-    def body(idx):
-        return _update_agent(idx + 1, X[idx], t, sched, xi_next, box, adversary, streams, variant)
-
-    indices = range(len(states))
-    if executor is None:
-        results = [body(idx) for idx in indices]
-    else:
-        results = list(executor.map(body, indices))
+    n = Z.shape[0]
+    W = build_mixing(generate_round_graph(graph, t), n).entries
+    X = consensus_step(Z, W)
+    results = [_update_agent(idx + 1, X[idx], t, sched, xi_next, box, adversary, streams, variant)
+               for idx in range(n)]
 
     if check_invariants == "strict":
         if counters is None:
             counters = {name: 0 for name in INVARIANT_NAMES}
         _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters)
 
-    for state, (z_new, q_new, _loss, _g, _dnorm, step, _probe) in zip(states, results):
-        state.z = z_new
-        state.q = q_new
-        state.x = None  # consumed; next round recomputes consensus
-        state.last_step_norm = step
-
+    z_new, q_new, loss, g_clip, direction_norm, step_norm, _probe = zip(*results)
     record = RoundRecord(
         t=t,
         x=X,
-        loss=np.array([r[2] for r in results]),
-        g_clipped=np.stack([r[3] for r in results]),
-        direction_norm=np.array([r[4] for r in results]),
-        step_norm=np.array([r[5] for r in results]),
-        dual_norm=np.array([float(np.linalg.norm(r[1])) for r in results]),
+        loss=np.array(loss),
+        g_clipped=np.stack(g_clip),
+        direction_norm=np.array(direction_norm),
+        step_norm=np.array(step_norm),
+        dual_norm=np.array([float(np.linalg.norm(q)) for q in q_new]),
     )
-    return states, record
+    return np.stack(z_new), record
 
 
-def run_horizon(T: int, config: RunConfig, checkpoint_hook=None) -> RunTrace:
+def run_horizon(T: int, config: RunConfig) -> RunTrace:
     """Execute rounds t = 1 .. T-1 and return the full trace.
 
-    The terminal consensus point x_{i,T} is computed (communication happens)
-    and discarded; metrics cover the executed decisions only. T = 1 yields an
-    empty trace.
+    Metrics cover the executed decisions only, so the terminal consensus point
+    x_{i,T} is never formed. T = 1 yields an empty trace.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -317,7 +262,7 @@ def run_horizon(T: int, config: RunConfig, checkpoint_hook=None) -> RunTrace:
     streams = StreamFactory(spec.seed)
     adversary = RegressionAdversary(spec)
     xi1 = round_params(config.schedule, 1).xi
-    states = init_agents(spec.n, box, xi1, config.init_rule, streams, m=spec.m_i)
+    Z = init_agents(spec.n, box, xi1, config.init_rule, streams)
 
     rounds = T - 1
     x_hist = np.empty((rounds, spec.n, spec.p))
@@ -328,31 +273,19 @@ def run_horizon(T: int, config: RunConfig, checkpoint_hook=None) -> RunTrace:
     dual_norm = np.empty((rounds, spec.n))
     counters = {name: 0 for name in INVARIANT_NAMES}
 
-    executor = ThreadPoolExecutor(max_workers=config.agent_workers) if config.agent_workers > 1 else None
-    try:
-        for t in range(1, T):
-            states, record = run_round(
-                t, states, config.schedule, config.graph, adversary, streams,
-                config.variant, box=box, check_invariants=config.check_invariants,
-                bounds=config.bounds, executor=executor, counters=counters,
-            )
-            k = t - 1
-            x_hist[k] = record.x
-            loss[k] = record.loss
-            g_clipped[k] = record.g_clipped
-            direction_norm[k] = record.direction_norm
-            step_norm[k] = record.step_norm
-            dual_norm[k] = record.dual_norm
-            if checkpoint_hook is not None:
-                checkpoint_hook(record)
-        if rounds > 0:
-            # Terminal consensus: agents communicate once more; the resulting
-            # x_{i,T} is not a decision and is not recorded.
-            W = build_mixing(generate_round_graph(config.graph, T), spec.n).entries
-            consensus_step(states, W)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for t in range(1, T):
+        Z, record = run_round(
+            t, Z, config.schedule, config.graph, adversary, streams,
+            config.variant, box=box, check_invariants=config.check_invariants,
+            bounds=config.bounds, counters=counters,
+        )
+        k = t - 1
+        x_hist[k] = record.x
+        loss[k] = record.loss
+        g_clipped[k] = record.g_clipped
+        direction_norm[k] = record.direction_norm
+        step_norm[k] = record.step_norm
+        dual_norm[k] = record.dual_norm
 
     return RunTrace(
         problem=spec,

@@ -157,24 +157,15 @@ class RegressionAdversary:
     """Bandit interface over the generated problems: values at two points only.
 
     The engine sees nothing but FeedbackValues; parameters stay private to
-    this module. A one-round memo avoids re-drawing parameters when several
-    queries hit the same (i, t).
+    this module. The engine queries each (i, t) once, so parameters are drawn
+    afresh on every call.
     """
 
     def __init__(self, spec: RegressionProblemSpec):
         self.spec = spec
-        self._memo_t: int | None = None
-        self._memo: dict[int, ProblemInstanceAt] = {}
 
     def instance(self, i: int, t: int) -> ProblemInstanceAt:
-        if t != self._memo_t:
-            self._memo_t = t
-            self._memo = {}
-        inst = self._memo.get(i)
-        if inst is None:
-            inst = materialize(self.spec, i, t)
-            self._memo[i] = inst
-        return inst
+        return materialize(self.spec, i, t)
 
     def feedback(self, i: int, t: int, x, probe) -> FeedbackValues:
         inst = self.instance(i, t)

@@ -15,15 +15,15 @@ from banditpd.cli import (
     parse_config,
     run_experiment,
 )
+from banditpd.engine import RunConfig, run_horizon
 from banditpd.metrics import ComparatorResult, log_checkpoints
 from banditpd.oracle import ProblemBounds
+from banditpd.problems import compute_bounds
 from banditpd.schedule import default_gamma0
 
 
-def desk_overrides(tmp_path, horizon=40, seeds=(1,), **run_extra):
-    run = {"horizon": horizon, "seeds": list(seeds), "out": str(tmp_path / "out")}
-    run.update(run_extra)
-    return {"run": run}
+def desk_overrides(tmp_path, horizon=40, seeds=(1,)):
+    return {"run": {"horizon": horizon, "seeds": list(seeds), "out": str(tmp_path / "out")}}
 
 
 class TestParse:
@@ -64,7 +64,6 @@ class TestParse:
         assert cfg.schedule.gamma0 == 0.15
         assert cfg.schedule.overrides.alpha_exponent == 1.0
         assert cfg.schedule.overrides.delta_scale == 0.01
-        assert cfg.window == 4
 
     def test_desk_preset_gets_compliant_gamma0(self):
         cfg = parse_config(preset="desk-convex-c05")
@@ -107,24 +106,6 @@ class TestParse:
         assert again == cfg
 
 
-class TestThreadCap:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("BANDITPD_THREADS", "2")
-        assert cli._thread_cap() == 2
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("BANDITPD_THREADS", "two")
-        with pytest.raises(ConfigError):
-            cli._thread_cap()
-        monkeypatch.setenv("BANDITPD_THREADS", "0")
-        with pytest.raises(ConfigError):
-            cli._thread_cap()
-
-    def test_unset_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("BANDITPD_THREADS", raising=False)
-        assert cli._thread_cap() >= 1
-
-
 class TestMainFlags:
     def test_small_run_writes_all_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -153,6 +134,13 @@ class TestMainFlags:
         assert seed_entry["seed"] == 5
         assert seed_entry["comparator"]["converged"] is True
         assert seed_entry["comparator"]["max_violation"] <= 1e-6
+        # the digest is that of the trajectory the library produces for this seed
+        cfg = parse_config(preset="desk-convex-c05", overrides={"run": {"horizon": 60}})
+        trace = run_horizon(60, RunConfig(
+            problem=cfg.problem_spec(5), schedule=cfg.schedule, graph=cfg.graph_schedule(5),
+            bounds=compute_bounds(cfg.problem_spec(5), 60)))
+        assert seed_entry["trace_digest"] == trace.digest()
+        assert seed_entry["fingerprint"] == trace.fingerprint()
 
     def test_no_regret_skips_comparator(self, tmp_path):
         out = tmp_path / "out"
@@ -207,19 +195,6 @@ class TestDeterminism:
             report["config"]["run"]["out"] = "normalized"
             reports.append(report)
         assert reports[0] == reports[1]
-
-    def test_concurrent_agents_byte_identical(self, tmp_path):
-        base = parse_config(preset="desk-convex-c05",
-                            overrides=desk_overrides(tmp_path / "serial", seeds=(1,)))
-        assert run_experiment(base) == EXIT_OK
-        threaded = parse_config(
-            preset="desk-convex-c05",
-            overrides=desk_overrides(tmp_path / "threaded", seeds=(1,),
-                                     agent_workers=3))
-        assert run_experiment(threaded) == EXIT_OK
-        a = (tmp_path / "serial" / "out" / "seed-1.csv").read_bytes()
-        b = (tmp_path / "threaded" / "out" / "seed-1.csv").read_bytes()
-        assert a == b
 
     def test_csv_floats_survive_round_trip(self, tmp_path):
         out = tmp_path / "out"

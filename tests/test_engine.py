@@ -1,23 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
 from banditpd.engine import (
     INVARIANT_NAMES,
-    AgentState,
     InvariantViolation,
     RunConfig,
     assemble_direction,
     consensus_step,
-    dual_update,
     init_agents,
-    primal_step,
     run_horizon,
+    run_round,
 )
 from banditpd.geometry import Box
-from banditpd.network import GraphSchedule
+from banditpd.network import GraphSchedule, build_mixing, generate_round_graph
 from banditpd.oracle import ProblemBounds, StreamFactory
-from banditpd.problems import RegressionProblemSpec, compute_bounds
-from banditpd.schedule import ScheduleParams
+from banditpd.problems import (
+    RegressionAdversary,
+    RegressionProblemSpec,
+    compute_bounds,
+    eval_constraint,
+    materialize,
+)
+from banditpd.schedule import ScheduleParams, round_params
 
 
 def small_config(seed=7, n=4, p=3, T_bounds=200, variant="paper", **kwargs):
@@ -32,25 +38,30 @@ def small_config(seed=7, n=4, p=3, T_bounds=200, variant="paper", **kwargs):
 
 class TestPieces:
     def test_consensus_is_weighted_average(self):
-        states = [AgentState(z=np.array([4.0, 0.0]), q=np.zeros(1)),
-                  AgentState(z=np.array([2.0, 2.0]), q=np.zeros(1))]
+        Z = np.array([[4.0, 0.0], [2.0, 2.0]])
         W = np.full((2, 2), 0.5)
-        X = consensus_step(states, W)
+        X = consensus_step(Z, W)
         assert np.allclose(X, [[3.0, 1.0], [3.0, 1.0]])
-        assert np.allclose(states[0].x, [3.0, 1.0])
+        assert np.array_equal(Z, [[4.0, 0.0], [2.0, 2.0]])  # the input state is not touched
 
     def test_consensus_rejects_wrong_matrix_shape(self):
-        states = [AgentState(z=np.zeros(2), q=np.zeros(1))]
         with pytest.raises(ValueError):
-            consensus_step(states, np.eye(2))
+            consensus_step(np.zeros((1, 2)), np.eye(2))
 
     def test_dual_update_clips_then_scales(self):
-        q = dual_update(np.array([0.2, -1.0]), gamma=0.15)
-        assert np.allclose(q, [0.03, 0.0])
-
-    def test_dual_update_needs_positive_gamma(self):
-        with pytest.raises(ValueError):
-            dual_update(np.array([1.0]), gamma=0.0)
+        # q_{i,t} = gamma_t * max(g_{i,t}(x_{i,t}), 0): the recorded clipped values
+        # match direct evaluation and the dual norm is gamma_t times their norm.
+        cfg = small_config()
+        trace = run_horizon(60, cfg)
+        assert np.any(trace.g_clipped > 0.0) and np.any(trace.dual_norm == 0.0)
+        for k in range(trace.rounds):
+            t = k + 1
+            gamma = round_params(cfg.schedule, t).gamma
+            expected = gamma * np.linalg.norm(trace.g_clipped[k], axis=1)
+            assert np.allclose(trace.dual_norm[k], expected, rtol=1e-12, atol=0.0)
+            for i in range(cfg.problem.n):
+                g = eval_constraint(materialize(cfg.problem, i + 1, t), trace.x_hist[k, i])
+                assert np.allclose(trace.g_clipped[k, i], np.maximum(g, 0.0), rtol=1e-12, atol=1e-12)
 
     def test_direction_combines_gradient_and_jacobian(self):
         grad = np.array([1.0, 2.0])
@@ -63,43 +74,47 @@ class TestPieces:
             assemble_direction(np.zeros(2), np.zeros((3, 1)), np.zeros(1))
 
     def test_primal_step_projects_onto_shrunk_box(self):
-        box = Box(dim=2, halfwidth=5.0)
-        state = AgentState(z=np.zeros(2), q=np.zeros(1), x=np.array([3.0, 1.0]))
-        # target (4, 0.5) exceeds the 0.5-shrunk halfwidth 2.5 in coordinate 0
-        primal_step(state, omega=np.array([-1.0, 0.5]), alpha=1.0, xi_next=0.5, box=box)
-        assert np.allclose(state.z, [2.5, 0.5])
-        assert state.last_step_norm == pytest.approx(np.hypot(0.5, 0.5))
-
-    def test_primal_step_needs_positive_alpha(self):
-        box = Box(dim=1, halfwidth=1.0)
-        state = AgentState(z=np.zeros(1), q=np.zeros(1), x=np.zeros(1))
-        with pytest.raises(ValueError):
-            primal_step(state, np.zeros(1), alpha=0.0, xi_next=0.5, box=box)
+        # x_{t+1} = W_{t+1} z_{t+1}, so wherever W_{t+1} is invertible the primal
+        # variable z_{t+1} is recoverable from the trace. It must lie in the
+        # (1 - xi_{t+1})-shrunk box, and step_norm is its distance from x_t.
+        cfg = small_config()
+        trace = run_horizon(40, cfg)
+        checked = on_boundary = 0
+        for t in range(1, trace.rounds):
+            W = build_mixing(generate_round_graph(cfg.graph, t + 1), cfg.problem.n).entries
+            if np.linalg.cond(W) > 1e6:
+                continue
+            Z = np.linalg.solve(W, trace.x_hist[t])
+            half = (1.0 - round_params(cfg.schedule, t + 1).xi) * cfg.problem.halfwidth
+            assert np.all(np.abs(Z) <= half + 1e-9)
+            step = np.linalg.norm(Z - trace.x_hist[t - 1], axis=1)
+            assert np.allclose(trace.step_norm[t - 1], step, rtol=1e-9, atol=1e-9)
+            on_boundary += int(np.any(np.isclose(np.abs(Z), half, rtol=0.0, atol=1e-9)))
+            checked += 1
+        assert checked >= trace.rounds // 4
+        assert on_boundary > 0  # the projection was active somewhere
 
 
 class TestInitAgents:
     def test_zeros_rule(self):
-        states = init_agents(3, Box(dim=2, halfwidth=1.0), xi1=0.5)
-        assert all(np.array_equal(s.z, np.zeros(2)) for s in states)
-        assert all(np.array_equal(s.q, np.zeros(1)) for s in states)
+        Z = init_agents(3, Box(dim=2, halfwidth=1.0), xi1=0.5)
+        assert np.array_equal(Z, np.zeros((3, 2)))
 
     def test_uniform_rule_lands_in_shrunk_box(self):
         box = Box(dim=4, halfwidth=2.0)
-        states = init_agents(8, box, xi1=0.25, init_rule="uniform",
-                             streams=StreamFactory(3), m=2)
-        for s in states:
-            assert np.all(np.abs(s.z) <= 1.5)
-        spread = np.ptp(np.stack([s.z for s in states]))
-        assert spread > 0.0
+        Z = init_agents(8, box, xi1=0.25, init_rule="uniform", streams=StreamFactory(3))
+        assert Z.shape == (8, 4)
+        assert np.all(np.abs(Z) <= 1.5)
+        assert np.ptp(Z) > 0.0
 
     def test_uniform_rule_requires_streams(self):
         with pytest.raises(ValueError):
             init_agents(2, Box(dim=1, halfwidth=1.0), xi1=0.5, init_rule="uniform")
 
     def test_full_shrink_pins_origin(self):
-        states = init_agents(2, Box(dim=2, halfwidth=1.0), xi1=1.0, init_rule="uniform",
-                             streams=StreamFactory(0))
-        assert all(np.array_equal(s.z, np.zeros(2)) for s in states)
+        Z = init_agents(2, Box(dim=2, halfwidth=1.0), xi1=1.0, init_rule="uniform",
+                        streams=StreamFactory(0))
+        assert np.array_equal(Z, np.zeros((2, 2)))
 
     def test_xi_range(self):
         with pytest.raises(ValueError):
@@ -110,10 +125,6 @@ class TestRunConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             small_config(variant="momentum")
-
-    def test_bad_agent_workers(self):
-        with pytest.raises(ValueError):
-            small_config(agent_workers=0)
 
     def test_bad_invariant_flag(self):
         with pytest.raises(ValueError):
@@ -139,16 +150,22 @@ class TestRunHorizon:
         with pytest.raises(ValueError):
             run_horizon(0, small_config())
 
-    def test_record_round_trip(self):
-        trace = run_horizon(10, small_config())
-        rec = trace.record(4)
-        assert rec.t == 4
-        assert np.array_equal(rec.x, trace.x_hist[3])
-        assert np.array_equal(rec.dual_norm, trace.dual_norm[3])
-        with pytest.raises(IndexError):
-            trace.record(0)
-        with pytest.raises(IndexError):
-            trace.record(10)
+    def test_run_round_chains_into_run_horizon(self):
+        # run_horizon is run_round applied to the (n, p) primal state, round by round.
+        cfg = small_config()
+        spec = cfg.problem
+        box = Box(dim=spec.p, halfwidth=spec.halfwidth)
+        streams = StreamFactory(spec.seed)
+        adversary = RegressionAdversary(spec)
+        Z = init_agents(spec.n, box, round_params(cfg.schedule, 1).xi)
+        trace = run_horizon(5, cfg)
+        for t in range(1, 5):
+            Z, rec = run_round(t, Z, cfg.schedule, cfg.graph, adversary, streams,
+                               box=box, bounds=cfg.bounds)
+            assert rec.t == t and Z.shape == (spec.n, spec.p)
+            assert np.array_equal(rec.x, trace.x_hist[t - 1])
+            assert np.array_equal(rec.step_norm, trace.step_norm[t - 1])
+            assert np.array_equal(rec.dual_norm, trace.dual_norm[t - 1])
 
     def test_clean_run_leaves_counters_at_zero(self):
         trace = run_horizon(100, small_config())
@@ -160,11 +177,6 @@ class TestRunHorizon:
         assert np.all(trace.dual_norm >= 0.0)
         assert np.all(np.abs(trace.x_hist) <= 5.0 + 1e-9)
 
-    def test_checkpoint_hook_sees_every_round(self):
-        seen = []
-        run_horizon(12, small_config(), checkpoint_hook=lambda rec: seen.append(rec.t))
-        assert seen == list(range(1, 12))
-
 
 class TestDeterminism:
     def test_repeat_runs_are_bitwise_identical(self):
@@ -173,15 +185,6 @@ class TestDeterminism:
         assert np.array_equal(a.x_hist, b.x_hist)
         assert np.array_equal(a.loss, b.loss)
         assert np.array_equal(a.dual_norm, b.dual_norm)
-
-    def test_threaded_agents_match_serial(self):
-        # Per-agent bodies read only the round snapshot, so the thread pool
-        # must not change a single bit.
-        a = run_horizon(60, small_config())
-        b = run_horizon(60, small_config(agent_workers=4))
-        assert np.array_equal(a.x_hist, b.x_hist)
-        assert np.array_equal(a.step_norm, b.step_norm)
-        assert np.array_equal(a.g_clipped, b.g_clipped)
 
     def test_seed_changes_trajectory(self):
         a = run_horizon(40, small_config(seed=7))
@@ -194,6 +197,25 @@ class TestDeterminism:
         c = run_horizon(5, small_config(seed=8))
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+    def test_digest_is_equal_across_repeat_runs(self):
+        a = run_horizon(30, small_config(seed=7))
+        b = run_horizon(30, small_config(seed=7))
+        assert a.digest() == b.digest()
+        assert len(a.digest()) == 64
+
+    def test_digest_differs_between_seeds(self):
+        a = run_horizon(30, small_config(seed=7))
+        b = run_horizon(30, small_config(seed=8))
+        assert a.digest() != b.digest()
+
+    def test_digest_sees_one_element_of_x_hist(self):
+        # The fingerprint names the run; the digest also covers the trajectory.
+        trace = run_horizon(30, small_config(seed=7))
+        before, fingerprint = trace.digest(), trace.fingerprint()
+        trace.x_hist[17, 2, 1] = np.nextafter(trace.x_hist[17, 2, 1], np.inf)
+        assert trace.digest() != before
+        assert trace.fingerprint() == fingerprint
 
 
 class TestVariants:
@@ -227,13 +249,18 @@ class TestInvariantEnforcement:
     def test_violation_counter_increments_before_raise(self):
         cfg = small_config()
         cfg.bounds = ProblemBounds(F=1e-12, G1=1e-12, G2=1e-12)
-        try:
+        # the run stops at the first failing round, which the message names
+        with pytest.raises(InvariantViolation) as info:
             run_horizon(50, cfg)
-        except InvariantViolation:
-            pass
-        # counters live on the trace, which never materializes on a raise;
-        # rerun with a hook to capture the record stream up to the failure
-        seen = []
-        with pytest.raises(InvariantViolation):
-            run_horizon(50, cfg, checkpoint_hook=lambda rec: seen.append(rec.t))
-        assert len(seen) < 49
+        failed_at = int(re.search(r"at t=(\d+),", str(info.value)).group(1))
+        assert 1 <= failed_at < 49
+        # a caller-owned counter dict records the failure before the raise
+        spec = cfg.problem
+        box = Box(dim=spec.p, halfwidth=spec.halfwidth)
+        counters = {name: 0 for name in INVARIANT_NAMES}
+        Z = init_agents(spec.n, box, round_params(cfg.schedule, 1).xi)
+        with pytest.raises(InvariantViolation, match="displacement bound"):
+            run_round(1, Z, cfg.schedule, cfg.graph, RegressionAdversary(spec),
+                      StreamFactory(spec.seed), box=box, bounds=cfg.bounds, counters=counters)
+        assert counters["displacement_bound"] == 1
+        assert sum(counters.values()) == 1

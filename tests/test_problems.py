@@ -173,10 +173,3 @@ class TestAdversary:
         assert fb.f_at_probe == pytest.approx(eval_loss(inst, probe))
         assert np.allclose(fb.g_at_x, eval_constraint(inst, x))
         assert np.allclose(fb.g_at_probe, eval_constraint(inst, probe))
-
-    def test_instance_cached_within_round(self):
-        adv = RegressionAdversary(SPEC)
-        first = adv.instance(1, 2)
-        assert adv.instance(1, 2) is first
-        adv.instance(1, 3)  # advancing the round drops the memo
-        assert adv.instance(1, 2) is not first

@@ -102,6 +102,11 @@ def test_validation_errors():
         ScheduleParams(mode="custom", gamma0=0.1)  # needs overrides
     with pytest.raises(ValueError):
         RoundParams(alpha=1.0, gamma=1.0, xi=1.5, delta=0.1)
+    # the engine's dual and primal steps rely on gamma_t > 0 and alpha_t > 0
+    with pytest.raises(ValueError):
+        RoundParams(alpha=1.0, gamma=0.0, xi=0.5, delta=0.1)
+    with pytest.raises(ValueError):
+        RoundParams(alpha=0.0, gamma=1.0, xi=0.5, delta=0.1)
 
 
 def test_round_params_dispatch():
