@@ -10,7 +10,9 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,11 +37,11 @@ from .metrics import (
 from .network import GraphSchedule
 from .problems import RegressionProblemSpec, compute_bounds
 from .schedule import (
-    MODES,
     ScheduleOverrides,
     ScheduleParams,
     check_gamma0_compliance,
     default_gamma0,
+    round_params,
 )
 
 CSV_COLUMNS = ("T", "net_regret", "net_ccv", "cum_loss", "mean_step_norm", "mean_dual_norm")
@@ -104,104 +106,130 @@ PRESETS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 # Config schema and resolution
 
-_SECTIONS = {
-    "problem": {"n", "p", "q_i", "m_i", "halfwidth", "b_offset", "mu_reg"},
-    "schedule": {"mode", "c", "gamma0", "mu", "theorem_compliant", "overrides"},
-    "graph": {"edge_prob", "backbone"},
-    "run": {"horizon", "seeds", "variant", "out", "regret", "check_invariants",
-            "tail_fraction", "init_rule", "comparator"},
-}
-_OVERRIDE_KEYS = {"alpha_scale", "alpha_exponent", "xi_scale", "delta_scale"}
-_COMPARATOR_KEYS = {"tol", "max_iter"}
+_REQUIRED = object()
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {tuple(choices)}")
+
+
+def _valid_seeds(seeds) -> bool:
+    return (bool(seeds) and len(set(seeds)) == len(seeds)
+            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds))
+
+
+# The whole config schema, one row per key: (section, key, type, default,
+# check). It rejects unknown keys, fills defaults, checks types, and its
+# resolved values are what report.json echoes. A float key takes an int and
+# must be finite; a bool is never a number; null means the default. A dict row
+# names a nested section whose rows follow; a null default leaves it null.
+# `check` is (predicate, message) for ranges no dataclass checks: problem,
+# graph and schedule values are validated by the dataclasses they build, and
+# the schedule also by the round check in resolve_config.
+CONFIG_KEYS = (
+    ("problem", "n", int, _REQUIRED, None),
+    ("problem", "p", int, _REQUIRED, None),
+    ("problem", "q_i", int, 1, None),
+    ("problem", "m_i", int, _REQUIRED, None),
+    ("problem", "halfwidth", float, 5.0, None),
+    ("problem", "b_offset", float, 0.01, None),
+    ("problem", "mu_reg", float, 0.0, None),
+    ("schedule", "mode", str, _REQUIRED, None),
+    ("schedule", "c", float, 0.5, None),
+    ("schedule", "gamma0", float, None, None),  # null: the compliant default from G2
+    ("schedule", "mu", float, None, None),
+    ("schedule", "theorem_compliant", bool, True, None),
+    ("schedule", "overrides", dict, None, None),
+    ("schedule.overrides", "alpha_scale", float, ScheduleOverrides.alpha_scale, None),
+    ("schedule.overrides", "alpha_exponent", float, ScheduleOverrides.alpha_exponent, None),
+    ("schedule.overrides", "xi_scale", float, ScheduleOverrides.xi_scale, None),
+    ("schedule.overrides", "delta_scale", float, ScheduleOverrides.delta_scale, None),
+    ("graph", "edge_prob", float, 0.0, None),
+    ("graph", "backbone", bool, True, None),
+    ("run", "horizon", int, _REQUIRED, (lambda v: v >= 1, "must be >= 1")),
+    ("run", "seeds", list, _REQUIRED,
+     (_valid_seeds, "must be a nonempty list of distinct nonnegative integers")),
+    ("run", "variant", str, "paper", _one_of(VARIANTS)),
+    ("run", "out", str, "runs/out", None),
+    ("run", "regret", bool, True, None),
+    ("run", "check_invariants", str, "strict", _one_of(("strict", "off"))),
+    ("run", "tail_fraction", float, 0.5, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    ("run", "init_rule", str, "zeros", _one_of(("zeros", "uniform"))),
+    ("run", "comparator", dict, {}, None),
+    ("run.comparator", "tol", float, ComparatorOptions.tol, (lambda v: v > 0, "must be > 0")),
+    ("run.comparator", "max_iter", int, ComparatorOptions.max_iter,
+     (lambda v: v >= 1, "must be >= 1")),
+)
+
+_ROWS: dict[str, dict[str, tuple]] = {}
+for _section, _key, *_row in CONFIG_KEYS:
+    _ROWS.setdefault(_section, {})[_key] = tuple(_row)
+_TOP_SECTIONS = tuple(s for s in _ROWS if "." not in s)
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved and validated inputs for run_experiment."""
+    """Fully resolved and validated inputs for run_experiment.
 
-    n: int
-    p: int
-    q_i: int
-    m_i: int
-    halfwidth: float
-    b_offset: float
-    mu_reg: float
+    values maps each section of CONFIG_KEYS to its resolved keys; schedule is
+    built from values["schedule"] and problem.halfwidth.
+    """
+
+    values: dict
     schedule: ScheduleParams
-    edge_prob: float
-    backbone: bool
-    horizon: int
-    seeds: tuple[int, ...]
-    variant: str
-    out: str
-    regret: bool
-    check_invariants: str
-    tail_fraction: float
-    init_rule: str
-    comparator: ComparatorOptions
+
+    @property
+    def horizon(self) -> int:
+        return self.values["run"]["horizon"]
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        return tuple(self.values["run"]["seeds"])
 
     def problem_spec(self, seed: int) -> RegressionProblemSpec:
-        return RegressionProblemSpec(n=self.n, p=self.p, q_i=self.q_i, m_i=self.m_i,
-                                     halfwidth=self.halfwidth, b_offset=self.b_offset,
-                                     seed=seed, mu_reg=self.mu_reg)
+        return RegressionProblemSpec(**self.values["problem"], seed=seed)
 
     def graph_schedule(self, seed: int) -> GraphSchedule:
-        return GraphSchedule(n=self.n, edge_prob=self.edge_prob,
-                             backbone=self.backbone, seed=seed)
+        return GraphSchedule(n=self.values["problem"]["n"], **self.values["graph"], seed=seed)
 
     def to_dict(self) -> dict:
-        sched = self.schedule
-        return {
-            "problem": {"n": self.n, "p": self.p, "q_i": self.q_i, "m_i": self.m_i,
-                        "halfwidth": self.halfwidth, "b_offset": self.b_offset,
-                        "mu_reg": self.mu_reg},
-            # r_X is not emitted: it is always derived from problem.halfwidth
-            "schedule": {"mode": sched.mode, "c": sched.c, "gamma0": sched.gamma0,
-                         "mu": sched.mu,
-                         "theorem_compliant": sched.theorem_compliant,
-                         "overrides": vars(sched.overrides) if sched.overrides else None},
-            "graph": {"edge_prob": self.edge_prob, "backbone": self.backbone},
-            "run": {"horizon": self.horizon, "seeds": list(self.seeds),
-                    "variant": self.variant, "out": self.out, "regret": self.regret,
-                    "check_invariants": self.check_invariants,
-                    "tail_fraction": self.tail_fraction, "init_rule": self.init_rule,
-                    "comparator": {"tol": self.comparator.tol,
-                                   "max_iter": self.comparator.max_iter}},
-        }
+        return copy.deepcopy(self.values)
 
 
-def _check_known_keys(raw: dict) -> None:
-    for section, body in raw.items():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {section!r} must be a mapping")
-        for key in body:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-    overrides = raw.get("schedule", {}).get("overrides")
-    if overrides is not None:
-        for key in overrides:
-            if key not in _OVERRIDE_KEYS:
-                raise ConfigError(f"unknown key schedule.overrides.{key}")
-    comparator = raw.get("run", {}).get("comparator")
-    if comparator is not None:
-        for key in comparator:
-            if key not in _COMPARATOR_KEYS:
-                raise ConfigError(f"unknown key run.comparator.{key}")
-
-
-def _get(raw: dict, section: str, key: str, default, kind, required=False):
-    body = raw.get(section, {})
-    if key not in body or body[key] is None:
-        if required:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
-    value = body[key]
+def _check_value(path: str, kind, value, check):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{section}.{key} must be {kind.__name__}, got {type(value).__name__}")
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path} must be {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value}")
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{path} {check[1]}")
     return value
+
+
+def _resolve_section(section: str, body) -> dict:
+    """One section's resolved keys, by the rows of CONFIG_KEYS."""
+    if not isinstance(body, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    rows = _ROWS[section]
+    for key in body:
+        if key not in rows:
+            raise ConfigError(f"unknown key {section}.{key}")
+    values = {}
+    for key, (kind, default, check) in rows.items():
+        path = f"{section}.{key}"
+        value = body.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {path}")
+            value = default
+        elif kind is not dict:
+            value = _check_value(path, kind, value, check)
+        if kind is dict and value is not None:
+            value = _resolve_section(path, value)
+        values[key] = value
+    return values
 
 
 def _deep_update(base: dict, extra: dict) -> dict:
@@ -215,93 +243,47 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping and fill every default."""
-    _check_known_keys(raw)
-
-    n = _get(raw, "problem", "n", None, int, required=True)
-    p = _get(raw, "problem", "p", None, int, required=True)
-    q_i = _get(raw, "problem", "q_i", 1, int)
-    m_i = _get(raw, "problem", "m_i", None, int, required=True)
-    halfwidth = _get(raw, "problem", "halfwidth", 5.0, float)
-    b_offset = _get(raw, "problem", "b_offset", 0.01, float)
-    mu_reg = _get(raw, "problem", "mu_reg", 0.0, float)
-
-    horizon = _get(raw, "run", "horizon", None, int, required=True)
-    if horizon < 1:
-        raise ConfigError("run.horizon must be >= 1")
-    seeds = _get(raw, "run", "seeds", None, list, required=True)
-    if not seeds:
-        raise ConfigError("run.seeds must be a nonempty list")
-    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
-        raise ConfigError("run.seeds must be nonnegative integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("run.seeds contains duplicates")
-    variant = _get(raw, "run", "variant", "paper", str)
-    if variant not in VARIANTS:
-        raise ConfigError(f"run.variant must be one of {VARIANTS}")
-    out = _get(raw, "run", "out", "runs/out", str)
-    regret = _get(raw, "run", "regret", True, bool)
-    check = _get(raw, "run", "check_invariants", "strict", str)
-    if check not in ("strict", "off"):
-        raise ConfigError("run.check_invariants must be 'strict' or 'off'")
-    tail_fraction = _get(raw, "run", "tail_fraction", 0.5, float)
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ConfigError("run.tail_fraction must be in (0, 1]")
-    init_rule = _get(raw, "run", "init_rule", "zeros", str)
-    if init_rule not in ("zeros", "uniform"):
-        raise ConfigError("run.init_rule must be 'zeros' or 'uniform'")
-    comp_raw = raw.get("run", {}).get("comparator") or {}
-    comparator = ComparatorOptions(tol=float(comp_raw.get("tol", 1e-6)),
-                                   max_iter=int(comp_raw.get("max_iter", 100_000)))
-
-    mode = _get(raw, "schedule", "mode", None, str, required=True)
-    if mode not in MODES:
-        raise ConfigError(f"schedule.mode must be one of {MODES}")
-    c = _get(raw, "schedule", "c", 0.5, float)
-    mu = _get(raw, "schedule", "mu", None, float)
-    theorem_compliant = _get(raw, "schedule", "theorem_compliant", True, bool)
-    overrides_raw = raw.get("schedule", {}).get("overrides")
-    overrides = None
-    if overrides_raw is not None:
-        overrides = ScheduleOverrides(**{k: float(v) for k, v in overrides_raw.items()})
+    for section in raw:
+        if section not in _TOP_SECTIONS:
+            raise ConfigError(f"unknown section {section!r}")
+    values = {s: _resolve_section(s, {} if raw.get(s) is None else raw[s])
+              for s in _TOP_SECTIONS}
+    problem, sched, run = values["problem"], values["schedule"], values["run"]
 
     try:
-        spec_probe = RegressionProblemSpec(n=n, p=p, q_i=q_i, m_i=m_i,
-                                           halfwidth=halfwidth, b_offset=b_offset,
-                                           seed=int(seeds[0]), mu_reg=mu_reg)
+        G2 = compute_bounds(RegressionProblemSpec(**problem, seed=run["seeds"][0])).G2
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
-    bounds = compute_bounds(spec_probe, horizon)
-
-    gamma0 = _get(raw, "schedule", "gamma0", None, float)
-    if gamma0 is None:
-        gamma0 = default_gamma0(p, bounds.G2)
     try:
-        schedule = ScheduleParams(mode=mode, gamma0=gamma0, c=c, mu=mu,
-                                  r_X=halfwidth, overrides=overrides,
-                                  theorem_compliant=theorem_compliant)
+        GraphSchedule(n=problem["n"], **values["graph"], seed=run["seeds"][0])
+    except ValueError as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+
+    if sched["gamma0"] is None:
+        sched["gamma0"] = default_gamma0(problem["p"], G2)
+    overrides = sched["overrides"]
+    try:
+        schedule = ScheduleParams(
+            **{**sched, "overrides": None if overrides is None else ScheduleOverrides(**overrides)},
+            r_X=problem["halfwidth"])
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
-    if theorem_compliant and mode in ("theorem1", "theorem4"):
-        if not check_gamma0_compliance(schedule, p, bounds.G2):
+    if schedule.theorem_compliant and schedule.mode in ("theorem1", "theorem4"):
+        if not check_gamma0_compliance(schedule, problem["p"], G2):
             raise ConfigError(
-                f"schedule.gamma0={gamma0} exceeds the compliant ceiling "
-                f"{default_gamma0(p, bounds.G2)}; set theorem_compliant false to force")
+                f"schedule.gamma0={schedule.gamma0} exceeds the compliant ceiling "
+                f"{default_gamma0(problem['p'], G2)}; set theorem_compliant false to force")
 
-    edge_prob = _get(raw, "graph", "edge_prob", 0.0, float)
-    backbone = _get(raw, "graph", "backbone", True, bool)
-    try:
-        config = ExperimentConfig(
-            n=n, p=p, q_i=q_i, m_i=m_i, halfwidth=halfwidth, b_offset=b_offset,
-            mu_reg=mu_reg, schedule=schedule, edge_prob=edge_prob,
-            backbone=backbone, horizon=horizon,
-            seeds=tuple(int(s) for s in seeds), variant=variant, out=out,
-            regret=regret, check_invariants=check, tail_fraction=tail_fraction,
-            init_rule=init_rule, comparator=comparator,
-        )
-        config.graph_schedule(config.seeds[0])  # triggers graph validation
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    # Rounds 1..horizon are evaluated. Each sequence is a fixed scale times a
+    # power of t, so the failure margins are convex in that power, which is
+    # monotone in t: the worst round is the first or the last.
+    where = "schedule.overrides" if schedule.mode == "custom" else "schedule"
+    for t in (1, run["horizon"]):
+        try:
+            round_params(schedule, t)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"{where}: {exc} (round {t})") from exc
+    return ExperimentConfig(values=values, schedule=schedule)
 
 
 def parse_config(path: str | None = None, preset: str | None = None,
@@ -369,12 +351,12 @@ class ComparatorFailure(RuntimeError):
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
+    run = config.values["run"]
     spec = config.problem_spec(seed)
-    bounds = compute_bounds(spec, config.horizon)
     run_cfg = RunConfig(
         problem=spec, schedule=config.schedule, graph=config.graph_schedule(seed),
-        variant=config.variant, init_rule=config.init_rule,
-        check_invariants=config.check_invariants, bounds=bounds,
+        variant=run["variant"], init_rule=run["init_rule"],
+        check_invariants=run["check_invariants"], bounds=compute_bounds(spec),
     )
     trace = run_horizon(config.horizon, run_cfg)
     rounds = trace.rounds
@@ -393,8 +375,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
 
     comparator_info = None
     regret = np.full(checkpoints.size, np.nan)
-    if config.regret:
-        comp = solve_offline_comparator(spec, rounds, config.comparator, evaluation=ev)
+    if run["regret"]:
+        comp = solve_offline_comparator(spec, rounds, ComparatorOptions(**run["comparator"]),
+                                        evaluation=ev)
         comparator_info = {
             "converged": comp.converged,
             "objective": comp.objective,
@@ -420,7 +403,8 @@ def _fit_or_error(series: MetricSeries, tail_fraction: float):
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run all seeds, write outputs under config.out, return an exit code."""
+    """Run all seeds, write outputs under run.out, return an exit code."""
+    run = config.values["run"]
     try:
         outcomes = [_run_seed(config, s) for s in config.seeds]
     except InvariantViolation as exc:
@@ -430,7 +414,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         print(f"comparator failure: {exc}", file=sys.stderr)
         return EXIT_COMPARATOR
 
-    out_dir = Path(config.out)
+    out_dir = Path(run["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for oc in outcomes:
@@ -453,15 +437,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     lines = _csv_lines(checkpoints, avg_regret, avg_ccv, avg_loss, avg_step, avg_dual)
     (out_dir / "seed-averaged.csv").write_text("\n".join(lines) + "\n")
 
-    slopes: dict[str, object] = {"tail_fraction": config.tail_fraction}
+    tail_fraction = run["tail_fraction"]
+    slopes: dict[str, object] = {"tail_fraction": tail_fraction}
     if checkpoints.size:
-        slopes["net_ccv"] = _fit_or_error(MetricSeries(checkpoints, avg_ccv),
-                                          config.tail_fraction)
-        slopes["cum_loss"] = _fit_or_error(MetricSeries(checkpoints, avg_loss),
-                                           config.tail_fraction)
-        if config.regret:
+        slopes["net_ccv"] = _fit_or_error(MetricSeries(checkpoints, avg_ccv), tail_fraction)
+        slopes["cum_loss"] = _fit_or_error(MetricSeries(checkpoints, avg_loss), tail_fraction)
+        if run["regret"]:
             slopes["net_regret"] = _fit_or_error(MetricSeries(checkpoints, avg_regret),
-                                                 config.tail_fraction)
+                                                 tail_fraction)
         else:
             slopes["net_regret"] = None
     ids = envelope_ids_for_mode(config.schedule.mode)

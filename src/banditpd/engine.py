@@ -226,7 +226,7 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule, adversary,
     sched = round_params(schedule, t)
     xi_next = round_params(schedule, t + 1).xi
     n = Z.shape[0]
-    W = build_mixing(generate_round_graph(graph, t), n).entries
+    W = build_mixing(generate_round_graph(graph, t), n)
     X = consensus_step(Z, W)
     results = [_update_agent(idx + 1, X[idx], t, sched, xi_next, box, adversary, streams, variant)
                for idx in range(n)]

@@ -25,11 +25,7 @@ def as_vector(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box [-h, h]^p.
-
-    The inscribed radius equals h (the largest Euclidean ball inside the box)
-    and the circumscribed radius is h * sqrt(p).
-    """
+    """Axis-aligned box [-h, h]^p."""
 
     dim: int
     halfwidth: float
@@ -39,19 +35,6 @@ class Box:
             raise ValueError("dim must be >= 1")
         if not (self.halfwidth > 0 and np.isfinite(self.halfwidth)):
             raise ValueError("halfwidth must be positive and finite")
-
-    @property
-    def inner_radius(self) -> float:
-        return self.halfwidth
-
-    @property
-    def outer_radius(self) -> float:
-        return self.halfwidth * float(np.sqrt(self.dim))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        v = as_vector(x)
-        self._check_dim(v)
-        return bool(np.all(np.abs(v) <= self.halfwidth + tol))
 
     def _check_dim(self, v: np.ndarray):
         if v.shape[0] != self.dim:

@@ -1,5 +1,5 @@
 """Network regret, cumulative constraint violation, the offline comparator,
-rate envelopes, and log-log slope fitting.
+rate-envelope exponents, and log-log slope fitting.
 
 The expensive part is a single streaming pass over the trace that re-creates
 each round's problem data and evaluates every agent's loss and constraints at
@@ -22,9 +22,16 @@ from .problems import RegressionProblemSpec, materialize_round
 
 ENVELOPE_IDS = (
     "T1-reg", "T1-ccv", "T2-ccv",
-    "T3-reg", "T3-ccv", "T3-ccv-slater",
     "T4-reg", "T4-ccv", "T4-ccv-slater",
 )
+
+# Comparator internals: Dykstra tolerance and sweep cap per projection, the
+# refinement cap of each constraint-generation loop, and the slack beyond
+# which a working row is retired.
+PROJ_TOL = 1e-12
+PROJ_MAX_ITER = 200_000
+MAX_REFINEMENTS = 128
+DROP_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,6 @@ class ComparatorResult:
 class ComparatorOptions:
     tol: float = 1e-6
     max_iter: int = 100_000
-    proj_tol: float = 1e-12
-    proj_max_iter: int = 200_000
-    max_refinements: int = 128
-    drop_slack: float = 1e-3
 
 
 @dataclass
@@ -274,7 +277,7 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
             grad = P @ x - r
             target = x - eta * grad
             x_next, proj_ok = project_intersection(
-                target, box, sets, tol=opts.proj_tol, max_iter=opts.proj_max_iter)
+                target, box, sets, tol=PROJ_TOL, max_iter=PROJ_MAX_ITER)
             moved = float(np.linalg.norm(x_next - x))
             gm = moved / (eta * (1.0 + float(np.linalg.norm(grad))))
             x = x_next
@@ -288,7 +291,7 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
     x = np.zeros(box.dim)
     gm = math.inf
     proj_ok = True
-    for _refinement in range(opts.max_refinements):
+    for _refinement in range(MAX_REFINEMENTS):
         x, gm, proj_ok = descend(x, active)
         if normals.shape[0] == 0:
             break
@@ -298,7 +301,7 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
             break
         # Retire rows that are now slack by a wide margin; the worst row of a
         # later refinement re-enters if it ever binds again.
-        active = [j for j in active if violation[j] > -opts.drop_slack]
+        active = [j for j in active if violation[j] > -DROP_SLACK]
         if worst_idx in active:
             break  # projection cannot enforce it any further
         active.append(worst_idx)
@@ -310,7 +313,7 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
     ext_offsets = np.concatenate([offsets, np.full(2 * box.dim, box.halfwidth)])
     working = sorted(set(active) | set(range(normals.shape[0], ext_normals.shape[0])))
     certified = False
-    for _refinement in range(opts.max_refinements):
+    for _refinement in range(MAX_REFINEMENTS):
         cand = _solve_working_set(P, r, ext_normals, ext_offsets, working)
         if cand is None:
             break
@@ -391,41 +394,16 @@ def fit_loglog_slope(series: MetricSeries, tail_fraction: float) -> float:
     return float(slope)
 
 
-def bound_envelope(theorem_id: str, T_max: int, c: float = 0.5) -> MetricSeries:
-    """Unnormalized growth shape for overlaying on measured series.
-
-    Power-law ids scale like a power of T determined by the step exponent c;
-    the strongly-convex ids grow like log T or sqrt(T log T). Constants are
-    not computed; these are shapes, not certified bounds.
-    """
-    if theorem_id not in ENVELOPE_IDS:
-        raise ValueError(f"unknown envelope id {theorem_id!r}; known: {ENVELOPE_IDS}")
-    if T_max < 1:
-        raise ValueError("T_max must be >= 1")
-    exponent = envelope_exponent(theorem_id, c)
-    T = np.arange(1, T_max + 1, dtype=np.float64)
-    if exponent is not None:
-        values = T ** exponent
-    elif theorem_id == "T4-ccv":
-        values = np.sqrt(T * np.log(T))
-    else:  # T4-reg, T4-ccv-slater
-        values = np.log(T)
-    return MetricSeries(np.arange(1, T_max + 1), values)
-
-
 def envelope_exponent(theorem_id: str, c: float = 0.5) -> float | None:
     """Growth exponent for power-law envelopes; None for logarithmic ones."""
     if theorem_id not in ENVELOPE_IDS:
         raise ValueError(f"unknown envelope id {theorem_id!r}; known: {ENVELOPE_IDS}")
-    if theorem_id.startswith(("T1", "T2", "T3")) and not (0.0 < c < 1.0):
+    if theorem_id.startswith(("T1", "T2")) and not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     power = {
         "T1-reg": max(c, 1.0 - c),
         "T1-ccv": 1.0 - c / 2.0,
         "T2-ccv": 1.0 - c,
-        "T3-reg": 1.0 - c,
-        "T3-ccv": 1.0 - c / 2.0,
-        "T3-ccv-slater": 1.0 - c,
     }
     return power.get(theorem_id)
 
@@ -439,14 +417,12 @@ def envelope_ids_for_mode(mode: str) -> tuple[str, ...]:
     return ()
 
 
-def log_checkpoints(rounds: int, per_decade: int = 100) -> np.ndarray:
-    """Distinct integer horizons, roughly log-spaced, capped per decade."""
+def log_checkpoints(rounds: int) -> np.ndarray:
+    """Distinct integer horizons, roughly log-spaced, at most 100 per decade."""
     if rounds < 1:
         return np.array([], dtype=np.int64)
-    if per_decade < 1:
-        raise ValueError("per_decade must be >= 1")
     decades = math.log10(rounds) if rounds > 1 else 0.0
-    count = max(2, math.ceil(per_decade * decades) + 1)
+    count = max(2, math.ceil(100 * decades) + 1)
     grid = np.geomspace(1.0, float(rounds), num=count)
     points = np.unique(np.clip(np.rint(grid).astype(np.int64), 1, rounds))
     return points

@@ -72,19 +72,11 @@ def generate_round_graph(schedule: GraphSchedule, t: int) -> set[tuple[int, int]
     return edges
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Doubly stochastic weights W with a uniform floor on positive entries."""
-
-    entries: np.ndarray
-    w_floor: float
-
-
-def build_mixing(edges: set[tuple[int, int]], n: int) -> MixingMatrix:
+def build_mixing(edges: set[tuple[int, int]], n: int) -> np.ndarray:
     """Uniform-weight mixing matrix: 1/n per edge, diagonal 1 - row sum.
 
     For a simple graph the diagonal is at least 1/n, so every positive entry
-    meets the floor and the symmetric construction is doubly stochastic.
+    is at least 1/n and the symmetric construction is doubly stochastic.
     """
     W = np.zeros((n, n))
     for i, j in edges:
@@ -92,7 +84,7 @@ def build_mixing(edges: set[tuple[int, int]], n: int) -> MixingMatrix:
             raise ValueError(f"edge ({i}, {j}) is not an unordered pair of distinct agents in 1..{n}")
         W[i - 1, j - 1] = W[j - 1, i - 1] = 1.0 / n
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return MixingMatrix(entries=W, w_floor=1.0 / n)
+    return W
 
 
 def validate_double_stochasticity(W: np.ndarray, tol: float) -> bool:

@@ -61,12 +61,6 @@ class ProblemInstanceAt:
     mu_reg: float = 0.0
 
 
-@dataclass(frozen=True)
-class SlaterCertificate:
-    point: np.ndarray
-    margin: float
-
-
 def materialize(spec: RegressionProblemSpec, i: int, t: int) -> ProblemInstanceAt:
     """Deterministic parameters for agent i at round t.
 
@@ -120,14 +114,7 @@ def eval_constraint(inst: ProblemInstanceAt, x) -> np.ndarray:
     return inst.B @ x - inst.b
 
 
-def slater_certificate(spec: RegressionProblemSpec) -> SlaterCertificate:
-    """The origin is strictly feasible with margin b_offset: g(0) = -b <= -b_offset."""
-    if not spec.b_offset > 0:
-        raise ValueError("no certificate: b_offset must be positive")
-    return SlaterCertificate(point=np.zeros(spec.p), margin=spec.b_offset)
-
-
-def compute_bounds(spec: RegressionProblemSpec, horizon: int) -> ProblemBounds:
+def compute_bounds(spec: RegressionProblemSpec) -> ProblemBounds:
     """Analytic worst-case bounds over the box and the generator's entry ranges.
 
     Constraint rows have entries in [0, 2], so the spectral norm of B is at
@@ -137,11 +124,9 @@ def compute_bounds(spec: RegressionProblemSpec, horizon: int) -> ProblemBounds:
         ||theta|| <= ||A|| * sqrt(p) + NOISE_CLIP * sqrt(q_i)
         ||grad f(x)|| = ||A^T (A x - theta)|| <= ||A|| (||A|| R + ||theta||)
     with R = halfwidth * sqrt(p), plus mu_reg * R for the ridge term. F bounds
-    0.5 * (||A|| R + ||theta||)^2 (+ ridge) the same way. The horizon argument
-    is kept for interface symmetry; the bounds are horizon-uniform.
+    0.5 * (||A|| R + ||theta||)^2 (+ ridge) the same way. The bounds hold
+    uniformly over every round.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     p, q, m = spec.p, spec.q_i, spec.m_i
     R = spec.halfwidth * np.sqrt(p)
     a_norm = np.sqrt(q * p)

@@ -123,24 +123,6 @@ def round_params(params: ScheduleParams, t: int) -> RoundParams:
     return custom_round(params, t)
 
 
-def table2_preset(name: str, r_X: float = 5.0) -> ScheduleParams:
-    """Published benchmark schedule rows, by name.
-
-    "paper-alg1": alpha_t = 1/t, gamma0 = 0.15, xi_t = 1/t, delta_t = 0.01/t.
-    The dual scale exceeds the compliance bound for the benchmark dimensions,
-    so the preset is flagged theorem_compliant=False rather than rejected.
-    """
-    if name != "paper-alg1":
-        raise ValueError(f"unknown preset {name!r}")
-    return ScheduleParams(
-        mode="custom",
-        gamma0=0.15,
-        r_X=r_X,
-        overrides=ScheduleOverrides(alpha_scale=1.0, alpha_exponent=1.0, xi_scale=1.0, delta_scale=0.01),
-        theorem_compliant=False,
-    )
-
-
 def default_gamma0(p: int, G2: float) -> float:
     """Largest compliant dual scale, 1 / (4 (p^2 + 1) G2^2)."""
     if G2 <= 0:

@@ -56,8 +56,8 @@ def heavy_run(preset, *, b_offset=None, variant="paper", regret=False):
     for seed in cfg.seeds:
         spec = cfg.problem_spec(seed)
         run_cfg = RunConfig(problem=spec, schedule=cfg.schedule,
-                            graph=cfg.graph_schedule(seed), variant=cfg.variant,
-                            bounds=compute_bounds(spec, cfg.horizon))
+                            graph=cfg.graph_schedule(seed), variant=variant,
+                            bounds=compute_bounds(spec))
         trace = run_horizon(cfg.horizon, run_cfg)
         ev = evaluate_trace(trace)
         ccv_rows.append(network_ccv(trace, ev).values)
@@ -118,7 +118,7 @@ def test_criterion_01_invariant_suite():
         run_cfg = RunConfig(problem=spec, schedule=cfg.schedule,
                             graph=cfg.graph_schedule(seed),
                             check_invariants="strict",
-                            bounds=compute_bounds(spec, cfg.horizon))
+                            bounds=compute_bounds(spec))
         trace = run_horizon(cfg.horizon, run_cfg)  # raises on any violation
         assert all(v == 0 for v in trace.invariant_counters.values()), (
             f"seed {seed} invariant counters: {trace.invariant_counters}")
@@ -250,7 +250,7 @@ def test_criterion_06_graph_validity():
     # Double stochasticity on the full generator (random edges + backbone).
     full = GraphSchedule(n=100, edge_prob=0.1, backbone=True, seed=101)
     for t in range(1, 1001):
-        W = build_mixing(generate_round_graph(full, t), 100).entries
+        W = build_mixing(generate_round_graph(full, t), 100)
         assert validate_double_stochasticity(W, tol=1e-12), f"round {t} not doubly stochastic"
 
     # Window tightness is a property of the deterministic backbone rotation:

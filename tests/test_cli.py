@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from banditpd.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    PRESETS,
     ConfigError,
     main,
     parse_config,
@@ -20,6 +23,48 @@ from banditpd.metrics import ComparatorResult, log_checkpoints
 from banditpd.oracle import ProblemBounds
 from banditpd.problems import compute_bounds
 from banditpd.schedule import default_gamma0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# json.dumps(parse_config(preset=name).to_dict(), sort_keys=True) for each preset:
+# the resolved config that report.json echoes. A changed key, type or default
+# shows here.
+RESOLVED_PRESETS = {
+    "desk-convex-c05": (
+        '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
+        '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
+        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"regret": true, "seeds": [101, 102, 103], "tail_fraction": 0.5, '
+        '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
+        '"mode": "theorem1", "mu": null, "overrides": null, "theorem_compliant": true}}'),
+    "desk-slater-margin-sweep": (
+        '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 1.0, '
+        '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
+        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
+        '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
+        '"mode": "theorem1", "mu": null, "overrides": null, "theorem_compliant": true}}'),
+    "desk-strongly-convex-t4": (
+        '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
+        '"halfwidth": 5.0, "m_i": 2, "mu_reg": 1.0, "n": 10, "p": 5, "q_i": 2}, '
+        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
+        '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
+        '"mode": "theorem4", "mu": 1.0, "overrides": null, "theorem_compliant": true}}'),
+    "paper-sec4": (
+        '{"graph": {"backbone": true, "edge_prob": 0.1}, "problem": {"b_offset": 0.01, '
+        '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 100, "p": 10, "q_i": 4}, '
+        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"tol": 1e-06}, "horizon": 1000, "init_rule": "zeros", "out": "runs/out", '
+        '"regret": false, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
+        '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.15, "mode": "custom", '
+        '"mu": null, "overrides": {"alpha_exponent": 1.0, "alpha_scale": 1.0, '
+        '"delta_scale": 0.01, "xi_scale": 1.0}, "theorem_compliant": false}}'),
+}
 
 
 def desk_overrides(tmp_path, horizon=40, seeds=(1,)):
@@ -56,10 +101,11 @@ class TestParse:
 
     def test_paper_preset_resolved_values(self):
         cfg = parse_config(preset="paper-sec4")
-        assert (cfg.n, cfg.p, cfg.q_i, cfg.m_i) == (100, 10, 4, 2)
+        spec = cfg.problem_spec(cfg.seeds[0])
+        assert (spec.n, spec.p, spec.q_i, spec.m_i) == (100, 10, 4, 2)
         assert cfg.horizon == 1000
         assert cfg.seeds == (101, 102, 103, 104, 105)
-        assert cfg.regret is False
+        assert cfg.to_dict()["run"]["regret"] is False
         assert cfg.schedule.mode == "custom"
         assert cfg.schedule.gamma0 == 0.15
         assert cfg.schedule.overrides.alpha_exponent == 1.0
@@ -101,9 +147,59 @@ class TestParse:
             parse_config(str(arr))
 
     def test_to_dict_round_trips(self):
-        cfg = parse_config(preset="desk-strongly-convex-t4")
-        again = cli.resolve_config(cfg.to_dict())
-        assert again == cfg
+        for preset in sorted(PRESETS):
+            cfg = parse_config(preset=preset)
+            assert cli.resolve_config(cfg.to_dict()) == cfg, preset
+
+    @pytest.mark.parametrize("preset", sorted(RESOLVED_PRESETS))
+    def test_resolved_presets_are_pinned(self, preset):
+        resolved = json.dumps(parse_config(preset=preset).to_dict(), sort_keys=True)
+        assert resolved == RESOLVED_PRESETS[preset]
+
+    @pytest.mark.parametrize("preset, override, path", [
+        ("desk-convex-c05", {"problem": {"n": True}}, "problem.n"),
+        ("desk-convex-c05", {"run": {"horizon": True}}, "run.horizon"),
+        ("paper-sec4", {"schedule": {"overrides": {"xi_scale": "x"}}},
+         "schedule.overrides.xi_scale"),
+        ("desk-convex-c05", {"run": {"comparator": {"tol": "x"}}}, "run.comparator.tol"),
+        ("paper-sec4", {"schedule": {"overrides": {"alpha_scale": True}}},
+         "schedule.overrides.alpha_scale"),
+        ("desk-convex-c05", {"run": {"comparator": {"max_iter": 2.7}}},
+         "run.comparator.max_iter"),
+        ("desk-convex-c05", {"run": {"comparator": {"tol": -1}}}, "run.comparator.tol"),
+        ("desk-convex-c05", {"problem": {"halfwidth": float("inf")}}, "problem.halfwidth"),
+        # finite, but the analytic bounds overflow to nan
+        ("desk-convex-c05", {"problem": {"halfwidth": 1e308}}, "problem"),
+        # 1000.0 ** 2000 overflows when the last round's step size is formed
+        ("paper-sec4", {"schedule": {"overrides": {"alpha_exponent": -2000}}},
+         "schedule.overrides"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, preset, override, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(override))  # inf is written as Infinity
+        code = main(["--preset", preset, "--config", str(cfg_path), "--seed-list", "1",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and path in err
+
+    def test_custom_schedule_that_fails_later_is_rejected_up_front(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"schedule": {"overrides": {"xi_scale": 0.01, "delta_scale": 0.4}}}))
+        out = tmp_path / "out"
+        code = main(["--preset", "paper-sec4", "--config", str(cfg_path),
+                     "--seed-list", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "schedule.overrides" in capsys.readouterr().err
+        assert not out.exists()
+        # growing sequences: delta = 0.01 t first exceeds r_X xi = 5 at t = 501
+        growing = {"schedule": {"overrides": {"alpha_exponent": -1.0}},
+                   "run": {"horizon": 500}}
+        assert parse_config(preset="paper-sec4", overrides=growing).horizon == 500
+        growing["run"]["horizon"] = 501
+        with pytest.raises(ConfigError, match=r"schedule\.overrides: .*round 501"):
+            parse_config(preset="paper-sec4", overrides=growing)
 
 
 class TestMainFlags:
@@ -138,7 +234,7 @@ class TestMainFlags:
         cfg = parse_config(preset="desk-convex-c05", overrides={"run": {"horizon": 60}})
         trace = run_horizon(60, RunConfig(
             problem=cfg.problem_spec(5), schedule=cfg.schedule, graph=cfg.graph_schedule(5),
-            bounds=compute_bounds(cfg.problem_spec(5), 60)))
+            bounds=compute_bounds(cfg.problem_spec(5))))
         assert seed_entry["trace_digest"] == trace.digest()
         assert seed_entry["fingerprint"] == trace.fingerprint()
 
@@ -211,7 +307,7 @@ class TestExitCodes:
     def test_invariant_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "compute_bounds",
-            lambda spec, horizon: ProblemBounds(F=1e-12, G1=1e-12, G2=1e-12))
+            lambda spec: ProblemBounds(F=1e-12, G1=1e-12, G2=1e-12))
         cfg = parse_config(preset="desk-convex-c05",
                            overrides=desk_overrides(tmp_path))
         assert run_experiment(cfg) == EXIT_INVARIANT
@@ -226,3 +322,15 @@ class TestExitCodes:
                            overrides=desk_overrides(tmp_path))
         assert run_experiment(cfg) == EXIT_COMPARATOR
         assert "comparator failure" in capsys.readouterr().err
+
+
+def test_readme_python_session_runs():
+    text = README.read_text()
+    blocks = list(re.finditer(r"```python\n(.*?)```", text, re.S))
+    assert blocks
+    for block in blocks:
+        # pad with newlines so tracebacks give README line numbers
+        source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+        exec(compile(source, str(README), "exec"), {})
+    for section, key, *_ in cli.CONFIG_KEYS:
+        assert f"`{section}.{key}`" in text, f"README lists no {section}.{key}"

@@ -26,14 +26,14 @@ from banditpd.problems import (
 from banditpd.schedule import ScheduleParams, round_params
 
 
-def small_config(seed=7, n=4, p=3, T_bounds=200, variant="paper", **kwargs):
+def small_config(seed=7, n=4, p=3, variant="paper", **kwargs):
     spec = RegressionProblemSpec(n=n, p=p, q_i=2, m_i=2, halfwidth=5.0,
                                  b_offset=0.01, seed=seed)
     sched = ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=5.0,
                            theorem_compliant=False)
     graph = GraphSchedule(n=n, edge_prob=0.5, backbone=True, seed=seed)
     return RunConfig(problem=spec, schedule=sched, graph=graph, variant=variant,
-                     bounds=compute_bounds(spec, T_bounds), **kwargs)
+                     bounds=compute_bounds(spec), **kwargs)
 
 
 class TestPieces:
@@ -81,7 +81,7 @@ class TestPieces:
         trace = run_horizon(40, cfg)
         checked = on_boundary = 0
         for t in range(1, trace.rounds):
-            W = build_mixing(generate_round_graph(cfg.graph, t + 1), cfg.problem.n).entries
+            W = build_mixing(generate_round_graph(cfg.graph, t + 1), cfg.problem.n)
             if np.linalg.cond(W) > 1e6:
                 continue
             Z = np.linalg.solve(W, trace.x_hist[t])

@@ -11,7 +11,6 @@ from banditpd.metrics import (
     ComparatorResult,
     MetricSeries,
     TraceEvaluation,
-    bound_envelope,
     comparator_loss_series,
     cumulative_loss,
     envelope_exponent,
@@ -328,29 +327,17 @@ class TestEnvelopes:
         assert envelope_exponent("T1-reg", c=0.5) == pytest.approx(0.5)
         assert envelope_exponent("T1-ccv", c=0.5) == pytest.approx(0.75)
         assert envelope_exponent("T2-ccv", c=0.5) == pytest.approx(0.5)
-        assert envelope_exponent("T3-reg", c=0.4) == pytest.approx(0.6)
-        assert envelope_exponent("T3-ccv-slater", c=0.4) == pytest.approx(0.6)
 
     def test_logarithmic_ids_have_no_exponent(self):
         assert envelope_exponent("T4-reg") is None
         assert envelope_exponent("T4-ccv") is None
         assert envelope_exponent("T4-ccv-slater") is None
 
-    def test_envelope_series_shapes_and_values(self):
-        s = bound_envelope("T1-ccv", 100, c=0.5)
-        assert len(s) == 100
-        assert s.at(16) == pytest.approx(16 ** 0.75)
-        s4 = bound_envelope("T4-ccv", 100)
-        assert s4.at(100) == pytest.approx(np.sqrt(100 * np.log(100)))
-        assert bound_envelope("T4-reg", 50).at(50) == pytest.approx(np.log(50))
-
     def test_unknown_id_and_bad_c(self):
         with pytest.raises(ValueError):
-            bound_envelope("T9-reg", 10)
+            envelope_exponent("T9-reg")
         with pytest.raises(ValueError):
             envelope_exponent("T1-reg", c=1.0)
-        with pytest.raises(ValueError):
-            bound_envelope("T1-reg", 0)
 
     def test_mode_mapping(self):
         assert envelope_ids_for_mode("theorem1") == ("T1-reg", "T1-ccv", "T2-ccv")
@@ -380,10 +367,6 @@ class TestLogCheckpoints:
         cps = log_checkpoints(50)
         assert len(np.unique(cps)) == len(cps)
         assert cps[-1] == 50
-
-    def test_per_decade_validation(self):
-        with pytest.raises(ValueError):
-            log_checkpoints(100, per_decade=0)
 
 
 class TestComparatorOptions:

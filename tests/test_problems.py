@@ -10,7 +10,6 @@ from banditpd.problems import (
     eval_loss,
     materialize,
     materialize_round,
-    slater_certificate,
 )
 
 SPEC = RegressionProblemSpec(n=4, p=3, q_i=2, m_i=2, halfwidth=5.0,
@@ -112,19 +111,8 @@ def test_loss_is_convex_along_segments():
         assert eval_loss(inst, mid) <= 0.5 * (eval_loss(inst, x) + eval_loss(inst, y)) + 1e-9
 
 
-def test_slater_certificate():
-    cert = slater_certificate(SPEC)
-    assert np.array_equal(cert.point, np.zeros(3))
-    assert cert.margin == SPEC.b_offset
-    # The certificate is honest: g(0) = -b <= -b_offset for every instance.
-    for t in (1, 2, 3):
-        for i in (1, 2):
-            inst = materialize(SPEC, i, t)
-            assert np.all(eval_constraint(inst, cert.point) <= -cert.margin)
-
-
 def test_compute_bounds_formulas():
-    bounds = compute_bounds(SPEC, horizon=100)
+    bounds = compute_bounds(SPEC)
     q, p, m, h = SPEC.q_i, SPEC.p, SPEC.m_i, SPEC.halfwidth
     a_norm = np.sqrt(q * p)
     theta_norm = a_norm * np.sqrt(p) + 6.0 * np.sqrt(q)
@@ -135,7 +123,7 @@ def test_compute_bounds_formulas():
 
 
 def test_bounds_dominate_sampled_gradients():
-    bounds = compute_bounds(SPEC, horizon=50)
+    bounds = compute_bounds(SPEC)
     rng = np.random.default_rng(1)
     box_pts = rng.uniform(-SPEC.halfwidth, SPEC.halfwidth, size=(64, 3))
     for t in range(1, 11):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from banditpd.cli import parse_config
 from banditpd.schedule import (
     MODES,
     RoundParams,
@@ -13,7 +14,6 @@ from banditpd.schedule import (
     check_gamma0_compliance,
     default_gamma0,
     round_params,
-    table2_preset,
     theorem1_round,
     theorem4_round,
 )
@@ -60,7 +60,8 @@ def test_theorem4_xi_capped_at_one():
 
 
 def test_table2_preset_frozen_values():
-    params = table2_preset("paper-alg1", r_X=5.0)
+    # the paper-sec4 preset carries the published schedule row
+    params = parse_config(preset="paper-sec4").schedule
     assert params.mode == "custom"
     assert not params.theorem_compliant
     one = round_params(params, 1)
@@ -70,11 +71,6 @@ def test_table2_preset_frozen_values():
     assert ten.gamma == pytest.approx(1.5)
     assert ten.xi == pytest.approx(0.1)
     assert ten.delta == pytest.approx(0.001)
-
-
-def test_table2_unknown_name():
-    with pytest.raises(ValueError):
-        table2_preset("paper-alg2")
 
 
 def test_default_gamma0_frozen():
