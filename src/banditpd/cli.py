@@ -251,9 +251,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     problem, sched, run = values["problem"], values["schedule"], values["run"]
 
     try:
-        G2 = compute_bounds(RegressionProblemSpec(**problem, seed=run["seeds"][0])).G2
+        spec = RegressionProblemSpec(**problem, seed=run["seeds"][0])
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
+    try:
+        G2 = compute_bounds(spec).G2
+    except ValueError as exc:  # the message starts with the field that overflowed
+        raise ConfigError(f"problem.{exc}") from exc
     try:
         GraphSchedule(n=problem["n"], **values["graph"], seed=run["seeds"][0])
     except ValueError as exc:
@@ -367,8 +371,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
                            checkpoints, empty, empty, empty, empty, empty, None)
 
     ev = evaluate_trace(trace)
-    ccv = network_ccv(trace, ev).select(checkpoints).values
-    loss = cumulative_loss(trace, ev).select(checkpoints).values
+    ccv = network_ccv(ev).select(checkpoints).values
+    loss = cumulative_loss(ev).select(checkpoints).values
     idx = checkpoints - 1
     mean_step = trace.step_norm[idx].mean(axis=1)
     mean_dual = trace.dual_norm[idx].mean(axis=1)
@@ -376,8 +380,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     comparator_info = None
     regret = np.full(checkpoints.size, np.nan)
     if run["regret"]:
-        comp = solve_offline_comparator(spec, rounds, ComparatorOptions(**run["comparator"]),
-                                        evaluation=ev)
+        comp = solve_offline_comparator(ev, ComparatorOptions(**run["comparator"]))
         comparator_info = {
             "converged": comp.converged,
             "objective": comp.objective,
@@ -388,7 +391,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
             raise ComparatorFailure(
                 f"comparator did not converge for seed {seed} "
                 f"(max_violation={comp.max_violation:.3g})")
-        regret = network_regret(trace, comp, ev).select(checkpoints).values
+        regret = network_regret(ev, comp).select(checkpoints).values
 
     return SeedOutcome(seed, trace.fingerprint(), trace.digest(), trace.invariant_counters,
                        checkpoints, regret, ccv, loss, mean_step, mean_dual,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,15 +22,19 @@ from .network import GraphSchedule, build_mixing, generate_round_graph
 from .oracle import (
     PURPOSE_DIRECTION,
     PURPOSE_INIT,
-    FeedbackValues,
     ProblemBounds,
     StreamFactory,
-    TwoPointSample,
     estimate_constraint_jacobian,
     estimate_loss_grad,
     sample_unit_sphere,
 )
-from .problems import RegressionAdversary, RegressionProblemSpec
+from .problems import (
+    ProblemInstanceAt,
+    RegressionProblemSpec,
+    eval_constraint,
+    eval_loss,
+    materialize_round,
+)
 from .schedule import ScheduleParams, round_params
 
 VARIANTS = ("paper", "clipped-primal")
@@ -63,6 +68,10 @@ class RoundRecord:
     direction_norm: np.ndarray  # (n,)
     step_norm: np.ndarray       # (n,)
     dual_norm: np.ndarray       # (n,) norm of the refreshed dual
+    A: np.ndarray               # (n, q, p) the round's problem data, as drawn
+    theta: np.ndarray           # (n, q)
+    B: np.ndarray               # (n, m, p)
+    b: np.ndarray               # (n, m)
 
 
 @dataclass
@@ -86,7 +95,10 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Everything a metrics pass needs: decisions, diagnostics, and identity."""
+    """Everything a metrics pass needs: decisions, diagnostics, the problem
+    data each round was drawn with, and identity. digest() covers only the
+    TRACE_ARRAYS, the trajectory; the problem data is a function of the spec.
+    """
 
     problem: RegressionProblemSpec
     schedule: ScheduleParams
@@ -98,6 +110,10 @@ class RunTrace:
     direction_norm: np.ndarray  # (rounds, n)
     step_norm: np.ndarray       # (rounds, n)
     dual_norm: np.ndarray       # (rounds, n)
+    A: np.ndarray               # (rounds, n, q, p)
+    theta: np.ndarray           # (rounds, n, q)
+    B: np.ndarray               # (rounds, n, m, p)
+    b: np.ndarray               # (rounds, n, m)
     invariant_counters: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -158,38 +174,36 @@ def assemble_direction(grad_f_est: np.ndarray, jac_g_est: np.ndarray, q: np.ndar
     return grad_f_est + jac_g_est @ q
 
 
-def _update_agent(i, x_i, t, sched, xi_next, box, adversary, streams, variant):
+def _update_agent(i, x_i, t, sched, xi_next, box, inst, streams, variant):
     """Pure per-agent round body; everything it reads is value-derived.
 
+    inst holds agent i's round-t problem data, but only the loss and
+    constraint values at x_i and at the probe reach the estimators.
     Returns (z_new, q_new, own_loss, g_clip, direction_norm, step_norm, probe).
     """
     p = box.dim
     u = sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
-    sample = TwoPointSample(direction=u, radius=sched.delta)
     probe = x_i + sched.delta * u
-    fb = adversary.feedback(i, t, x_i, probe)
+    f_x, f_probe = eval_loss(inst, x_i), eval_loss(inst, probe)
+    g_x, g_probe = eval_constraint(inst, x_i), eval_constraint(inst, probe)
+    if not (math.isfinite(f_x) and math.isfinite(f_probe)
+            and np.isfinite(g_x).all() and np.isfinite(g_probe).all()):
+        raise ValueError(f"non-finite feedback at t={t}, agent {i}")
 
-    g_clip = clip_nonneg(fb.g_at_x)
+    g_clip = clip_nonneg(g_x)
     q_new = sched.gamma * g_clip
 
     if variant == "clipped-primal":
         # Ablation: the Jacobian estimator sees the clipped constraint values,
         # so the probe carries no information once both points are feasible.
-        fb_for_jac = FeedbackValues(
-            f_at_x=fb.f_at_x,
-            f_at_probe=fb.f_at_probe,
-            g_at_x=g_clip,
-            g_at_probe=clip_nonneg(fb.g_at_probe),
-        )
-    else:
-        fb_for_jac = fb
-    grad = estimate_loss_grad(fb, sample, p)
-    jac = estimate_constraint_jacobian(fb_for_jac, sample, p)
+        g_x, g_probe = g_clip, clip_nonneg(g_probe)
+    grad = estimate_loss_grad(f_x, f_probe, u, sched.delta, p)
+    jac = estimate_constraint_jacobian(g_x, g_probe, u, sched.delta, p)
     omega = assemble_direction(grad, jac, q_new)
 
     z_new = project_scaled(box, x_i - sched.alpha * omega, xi_next)
     step = float(np.linalg.norm(z_new - x_i))
-    return z_new, q_new, fb.f_at_x, g_clip, float(np.linalg.norm(omega)), step, probe
+    return z_new, q_new, f_x, g_clip, float(np.linalg.norm(omega)), step, probe
 
 
 def _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters):
@@ -218,17 +232,23 @@ def _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters
                 raise InvariantViolation(f"displacement bound failed at t={t}, agent {idx + 1}")
 
 
-def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule, adversary,
-              streams: StreamFactory, variant: str = "paper", *, box: Box,
-              check_invariants: str = "strict", bounds: ProblemBounds | None = None,
+def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
+              spec: RegressionProblemSpec, streams: StreamFactory, variant: str = "paper", *,
+              box: Box, check_invariants: str = "strict", bounds: ProblemBounds | None = None,
               counters: dict[str, int] | None = None) -> tuple[np.ndarray, RoundRecord]:
-    """One synchronous round at index t; returns the next primal state and the record."""
+    """One synchronous round at index t; returns the next primal state and the record.
+
+    The round's problem data is drawn once, here, and each agent gets its own rows.
+    """
     sched = round_params(schedule, t)
     xi_next = round_params(schedule, t + 1).xi
     n = Z.shape[0]
     W = build_mixing(generate_round_graph(graph, t), n)
     X = consensus_step(Z, W)
-    results = [_update_agent(idx + 1, X[idx], t, sched, xi_next, box, adversary, streams, variant)
+    A, theta, B, b = materialize_round(spec, t)
+    results = [_update_agent(idx + 1, X[idx], t, sched, xi_next, box,
+                             ProblemInstanceAt(A[idx], theta[idx], B[idx], b[idx], spec.mu_reg),
+                             streams, variant)
                for idx in range(n)]
 
     if check_invariants == "strict":
@@ -245,6 +265,7 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule, adversary,
         direction_norm=np.array(direction_norm),
         step_norm=np.array(step_norm),
         dual_norm=np.array([float(np.linalg.norm(q)) for q in q_new]),
+        A=A, theta=theta, B=B, b=b,
     )
     return np.stack(z_new), record
 
@@ -258,45 +279,30 @@ def run_horizon(T: int, config: RunConfig) -> RunTrace:
     if T < 1:
         raise ValueError("T must be >= 1")
     spec = config.problem
-    box = Box(dim=spec.p, halfwidth=spec.halfwidth)
+    n, p, q, m = spec.n, spec.p, spec.q_i, spec.m_i
+    box = Box(dim=p, halfwidth=spec.halfwidth)
     streams = StreamFactory(spec.seed)
-    adversary = RegressionAdversary(spec)
     xi1 = round_params(config.schedule, 1).xi
-    Z = init_agents(spec.n, box, xi1, config.init_rule, streams)
+    Z = init_agents(n, box, xi1, config.init_rule, streams)
 
-    rounds = T - 1
-    x_hist = np.empty((rounds, spec.n, spec.p))
-    loss = np.empty((rounds, spec.n))
-    g_clipped = np.empty((rounds, spec.n, spec.m_i))
-    direction_norm = np.empty((rounds, spec.n))
-    step_norm = np.empty((rounds, spec.n))
-    dual_norm = np.empty((rounds, spec.n))
+    # trace field -> (RoundRecord field, per-round shape)
+    fields = {
+        "x_hist": ("x", (n, p)), "loss": ("loss", (n,)), "g_clipped": ("g_clipped", (n, m)),
+        "direction_norm": ("direction_norm", (n,)), "step_norm": ("step_norm", (n,)),
+        "dual_norm": ("dual_norm", (n,)), "A": ("A", (n, q, p)), "theta": ("theta", (n, q)),
+        "B": ("B", (n, m, p)), "b": ("b", (n, m)),
+    }
+    hist = {name: np.empty((T - 1, *shape)) for name, (_attr, shape) in fields.items()}
     counters = {name: 0 for name in INVARIANT_NAMES}
 
     for t in range(1, T):
         Z, record = run_round(
-            t, Z, config.schedule, config.graph, adversary, streams,
+            t, Z, config.schedule, config.graph, spec, streams,
             config.variant, box=box, check_invariants=config.check_invariants,
             bounds=config.bounds, counters=counters,
         )
-        k = t - 1
-        x_hist[k] = record.x
-        loss[k] = record.loss
-        g_clipped[k] = record.g_clipped
-        direction_norm[k] = record.direction_norm
-        step_norm[k] = record.step_norm
-        dual_norm[k] = record.dual_norm
+        for name, (attr, _shape) in fields.items():
+            hist[name][t - 1] = getattr(record, attr)
 
-    return RunTrace(
-        problem=spec,
-        schedule=config.schedule,
-        variant=config.variant,
-        horizon=T,
-        x_hist=x_hist,
-        loss=loss,
-        g_clipped=g_clipped,
-        direction_norm=direction_norm,
-        step_norm=step_norm,
-        dual_norm=dual_norm,
-        invariant_counters=counters,
-    )
+    return RunTrace(problem=spec, schedule=config.schedule, variant=config.variant,
+                    horizon=T, invariant_counters=counters, **hist)

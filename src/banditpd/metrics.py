@@ -1,11 +1,11 @@
 """Network regret, cumulative constraint violation, the offline comparator,
 rate-envelope exponents, and log-log slope fitting.
 
-The expensive part is a single streaming pass over the trace that re-creates
-each round's problem data and evaluates every agent's loss and constraints at
+The expensive part is a single pass over the trace that reads each round's
+recorded problem data and evaluates every agent's loss and constraints at
 every agent's consensus point (the network metrics are defined that way). The
-pass also accumulates the per-round quadratic coefficients of the averaged
-loss and the pooled constraint halfspaces, which is exactly what the offline
+pass also forms the per-round quadratic coefficients of the averaged loss and
+views the pooled constraint halfspaces, which is exactly what the offline
 comparator needs, so it runs once and everything downstream reuses it.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .geometry import Box, Halfspace, project_intersection
-from .problems import RegressionProblemSpec, materialize_round
+from .problems import RegressionProblemSpec
 
 ENVELOPE_IDS = (
     "T1-reg", "T1-ccv", "T2-ccv",
@@ -82,12 +82,13 @@ class ComparatorOptions:
 
 @dataclass
 class TraceEvaluation:
-    """Per-round quantities from the streaming pass over a trace.
+    """Per-round quantities from the pass over a trace.
 
     mean_loss_inc[k] is (1/n) sum_i f_t(x_{i,t}) for t = k+1, where f_t
     averages all agents' losses; ccv_inc[k] is the mean over i of the stacked
     clipped-constraint norm at x_{i,t}. quad_* hold the coefficients of
-    f_t(x) = x'Px/2 - r'x + c, and pool_* the round's constraint halfspaces.
+    f_t(x) = x'Px/2 - r'x + c, and pool_* every round's constraint halfspaces
+    (views of the trace's B and b).
     """
 
     problem: RegressionProblemSpec
@@ -103,20 +104,17 @@ class TraceEvaluation:
 
 def evaluate_trace(trace) -> TraceEvaluation:
     spec = trace.problem
-    n, p, m = spec.n, spec.p, spec.m_i
+    n, p = spec.n, spec.p
     rounds = trace.rounds
     mean_loss_inc = np.empty(rounds)
     ccv_inc = np.empty(rounds)
     quad_P = np.empty((rounds, p, p))
     quad_r = np.empty((rounds, p))
     quad_c = np.empty(rounds)
-    pool_normals = np.empty((rounds * n * m, p))
-    pool_offsets = np.empty(rounds * n * m)
     eye = np.eye(p)
 
     for k in range(rounds):
-        t = k + 1
-        A, theta, B, b = materialize_round(spec, t)
+        A, theta, B, b = trace.A[k], trace.theta[k], trace.B[k], trace.b[k]
         X = trace.x_hist[k]                                   # (n, p) points
         resid = np.einsum("jqp,ip->jiq", A, X) - theta[:, None, :]
         loss = 0.5 * np.einsum("jiq,jiq->ji", resid, resid)   # f_{j,t}(x_i)
@@ -133,35 +131,29 @@ def evaluate_trace(trace) -> TraceEvaluation:
             quad_P[k] += spec.mu_reg * eye
         quad_r[k] = np.einsum("jqp,jq->p", A, theta) / n
         quad_c[k] = 0.5 * float(np.einsum("jq,jq->", theta, theta)) / n
-        pool_normals[k * n * m:(k + 1) * n * m] = B.reshape(-1, p)
-        pool_offsets[k * n * m:(k + 1) * n * m] = b.reshape(-1)
 
     return TraceEvaluation(
         problem=spec, rounds=rounds, mean_loss_inc=mean_loss_inc,
         ccv_inc=ccv_inc, quad_P=quad_P, quad_r=quad_r, quad_c=quad_c,
-        pool_normals=pool_normals, pool_offsets=pool_offsets,
+        pool_normals=trace.B.reshape(-1, p), pool_offsets=trace.b.reshape(-1),
     )
 
 
-def _require_nonempty(trace) -> None:
-    if trace.rounds < 1:
+def _require_nonempty(ev: TraceEvaluation) -> None:
+    if ev.rounds < 1:
         raise ValueError("trace is empty; nothing to evaluate")
 
 
-def network_ccv(trace, evaluation: TraceEvaluation | None = None) -> MetricSeries:
+def network_ccv(ev: TraceEvaluation) -> MetricSeries:
     """Mean over agents of the running sum of stacked clipped-constraint norms."""
-    _require_nonempty(trace)
-    ev = evaluation if evaluation is not None else evaluate_trace(trace)
-    horizons = np.arange(1, ev.rounds + 1)
-    return MetricSeries(horizons, np.cumsum(ev.ccv_inc))
+    _require_nonempty(ev)
+    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.ccv_inc))
 
 
-def cumulative_loss(trace, evaluation: TraceEvaluation | None = None) -> MetricSeries:
+def cumulative_loss(ev: TraceEvaluation) -> MetricSeries:
     """Running sum of (1/n) sum_i f_t(x_{i,t})."""
-    _require_nonempty(trace)
-    ev = evaluation if evaluation is not None else evaluate_trace(trace)
-    horizons = np.arange(1, ev.rounds + 1)
-    return MetricSeries(horizons, np.cumsum(ev.mean_loss_inc))
+    _require_nonempty(ev)
+    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.mean_loss_inc))
 
 
 def comparator_loss_series(ev: TraceEvaluation, x_star: np.ndarray) -> np.ndarray:
@@ -171,16 +163,13 @@ def comparator_loss_series(ev: TraceEvaluation, x_star: np.ndarray) -> np.ndarra
             - ev.quad_r @ x + ev.quad_c)
 
 
-def network_regret(trace, comparator: ComparatorResult,
-                   evaluation: TraceEvaluation | None = None) -> MetricSeries:
+def network_regret(ev: TraceEvaluation, comparator: ComparatorResult) -> MetricSeries:
     """Running sum of the averaged loss gap to the fixed comparator point."""
-    _require_nonempty(trace)
+    _require_nonempty(ev)
     if not comparator.converged:
         raise ValueError("comparator did not converge; regret undefined")
-    ev = evaluation if evaluation is not None else evaluate_trace(trace)
     star = comparator_loss_series(ev, comparator.x_star)
-    horizons = np.arange(1, ev.rounds + 1)
-    return MetricSeries(horizons, np.cumsum(ev.mean_loss_inc - star))
+    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.mean_loss_inc - star))
 
 
 def _least_distance(G, h):
@@ -335,44 +324,16 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
                             converged=converged, max_violation=max_violation)
 
 
-def solve_offline_comparator(problem: RegressionProblemSpec, rounds: int,
-                             opts: ComparatorOptions | None = None,
-                             evaluation: TraceEvaluation | None = None) -> ComparatorResult:
-    """Best fixed point for decision rounds 1..rounds: minimize the summed
-    averaged loss subject to every constraint of every agent at every round.
-
-    Pass the evaluation from evaluate_trace when available to skip
-    re-materializing the problem sequence.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    spec = problem
-    box = Box(dim=spec.p, halfwidth=spec.halfwidth)
-    if evaluation is not None:
-        if evaluation.rounds != rounds or evaluation.problem != spec:
-            raise ValueError("evaluation does not match the requested problem window")
-        P = evaluation.quad_P.sum(axis=0)
-        r = evaluation.quad_r.sum(axis=0)
-        const = float(evaluation.quad_c.sum())
-        normals, offsets = evaluation.pool_normals, evaluation.pool_offsets
-    else:
-        p, n, m = spec.p, spec.n, spec.m_i
-        P = np.zeros((p, p))
-        r = np.zeros(p)
-        const = 0.0
-        normals = np.empty((rounds * n * m, p))
-        offsets = np.empty(rounds * n * m)
-        eye = np.eye(p)
-        for k in range(rounds):
-            A, theta, B, b = materialize_round(spec, k + 1)
-            P += np.einsum("jqa,jqb->ab", A, A) / n
-            if spec.mu_reg:
-                P += spec.mu_reg * eye
-            r += np.einsum("jqp,jq->p", A, theta) / n
-            const += 0.5 * float(np.einsum("jq,jq->", theta, theta)) / n
-            normals[k * n * m:(k + 1) * n * m] = B.reshape(-1, p)
-            offsets[k * n * m:(k + 1) * n * m] = b.reshape(-1)
-    return minimize_quadratic_over_polytope(P, r, const, box, normals, offsets, opts)
+def solve_offline_comparator(evaluation: TraceEvaluation,
+                             opts: ComparatorOptions | None = None) -> ComparatorResult:
+    """Best fixed point for the evaluated rounds: minimize the summed averaged
+    loss subject to every constraint of every agent at every round."""
+    _require_nonempty(evaluation)
+    spec = evaluation.problem
+    return minimize_quadratic_over_polytope(
+        evaluation.quad_P.sum(axis=0), evaluation.quad_r.sum(axis=0),
+        float(evaluation.quad_c.sum()), Box(dim=spec.p, halfwidth=spec.halfwidth),
+        evaluation.pool_normals, evaluation.pool_offsets, opts)
 
 
 def fit_loglog_slope(series: MetricSeries, tail_fraction: float) -> float:

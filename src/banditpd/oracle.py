@@ -39,43 +39,6 @@ class StreamFactory:
 
 
 @dataclass(frozen=True)
-class TwoPointSample:
-    """Probe direction u on the unit sphere and probe radius delta > 0."""
-
-    direction: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        u = np.asarray(self.direction, dtype=np.float64)
-        if abs(float(np.linalg.norm(u)) - 1.0) > 1e-12:
-            raise ValueError("direction must have unit norm")
-        object.__setattr__(self, "direction", u)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class FeedbackValues:
-    """Loss and constraint values observed at x and at the probe x + delta*u."""
-
-    f_at_x: float
-    f_at_probe: float
-    g_at_x: np.ndarray
-    g_at_probe: np.ndarray
-
-    def __post_init__(self):
-        gx = np.asarray(self.g_at_x, dtype=np.float64)
-        gp = np.asarray(self.g_at_probe, dtype=np.float64)
-        if gx.shape != gp.shape:
-            raise ValueError("constraint value vectors must have equal length")
-        vals = [self.f_at_x, self.f_at_probe]
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(gx)) and np.all(np.isfinite(gp))):
-            raise ValueError("feedback values must be finite")
-        object.__setattr__(self, "g_at_x", gx)
-        object.__setattr__(self, "g_at_probe", gp)
-
-
-@dataclass(frozen=True)
 class ProblemBounds:
     """Uniform loss bound F and Lipschitz bounds G1 (loss), G2 (constraints)."""
 
@@ -84,8 +47,8 @@ class ProblemBounds:
     G2: float
 
     def __post_init__(self):
-        if not (self.F > 0 and self.G1 > 0 and self.G2 > 0):
-            raise ValueError("bounds must be positive")
+        if not all(0 < v < np.inf for v in (self.F, self.G1, self.G2)):
+            raise ValueError("bounds must be positive and finite")
 
 
 def sample_unit_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -105,24 +68,26 @@ def sample_unit_ball(rng: np.random.Generator, p: int) -> np.ndarray:
     return u * rng.uniform() ** (1.0 / p)
 
 
-def estimate_loss_grad(fb: FeedbackValues, sample: TwoPointSample, p: int) -> np.ndarray:
+def estimate_loss_grad(f_x: float, f_probe: float, u: np.ndarray, delta: float,
+                       p: int) -> np.ndarray:
     """Two-point gradient estimate (p/delta) * (f(x + delta u) - f(x)) * u."""
-    if sample.radius <= 0:
+    if not delta > 0:
         raise ValueError("probe radius must be positive")
-    scale = (p / sample.radius) * (fb.f_at_probe - fb.f_at_x)
-    return scale * sample.direction
+    scale = (p / delta) * (f_probe - f_x)
+    return scale * u
 
 
-def estimate_constraint_jacobian(fb: FeedbackValues, sample: TwoPointSample, p: int) -> np.ndarray:
-    """Rank-1 Jacobian estimate outer(u, d) with d = (p/delta) * (g(probe) - g(x)).
+def estimate_constraint_jacobian(g_x: np.ndarray, g_probe: np.ndarray, u: np.ndarray,
+                                 delta: float, p: int) -> np.ndarray:
+    """Rank-1 Jacobian estimate outer(u, d) with d = (p/delta) * (g(x + delta u) - g(x)).
 
     Column k equals the loss-gradient estimator applied to constraint
     component k, so the result has shape (p, m).
     """
-    if sample.radius <= 0:
+    if not delta > 0:
         raise ValueError("probe radius must be positive")
-    d = (p / sample.radius) * (fb.g_at_probe - fb.g_at_x)
-    return np.outer(sample.direction, d)
+    d = (p / delta) * (g_probe - g_x)
+    return np.outer(u, d)
 
 
 def smoothed_value_mc(f, x, delta: float, n_samples: int, rng: np.random.Generator) -> float:

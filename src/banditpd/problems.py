@@ -2,9 +2,9 @@
 
 Every agent i at round t gets a private quadratic loss
 f(x) = 0.5 * ||A x - theta||^2 (+ optional ridge) and a private linear
-constraint g(x) = B x - b. Parameters are regenerated on demand from
-(seed, i, t), never stored, so metric passes can re-evaluate any function at
-any point while traces stay small.
+constraint g(x) = B x - b. Parameters are a pure function of (seed, i, t);
+the engine draws each round once and its trace keeps the draws, so the
+metrics pass can evaluate any agent's functions at any point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import PURPOSE_PROBLEM, FeedbackValues, ProblemBounds, StreamFactory
+from .oracle import PURPOSE_PROBLEM, ProblemBounds, StreamFactory
 
 # Gaussian noise entries are clipped to this band so the uniform loss bound F
 # is a true deterministic bound rather than an almost-sure one.
@@ -125,38 +125,20 @@ def compute_bounds(spec: RegressionProblemSpec) -> ProblemBounds:
         ||grad f(x)|| = ||A^T (A x - theta)|| <= ||A|| (||A|| R + ||theta||)
     with R = halfwidth * sqrt(p), plus mu_reg * R for the ridge term. F bounds
     0.5 * (||A|| R + ||theta||)^2 (+ ridge) the same way. The bounds hold
-    uniformly over every round.
+    uniformly over every round. A halfwidth or mu_reg large enough to
+    overflow them raises ValueError naming that field.
     """
     p, q, m = spec.p, spec.q_i, spec.m_i
-    R = spec.halfwidth * np.sqrt(p)
-    a_norm = np.sqrt(q * p)
-    theta_norm = a_norm * np.sqrt(p) + NOISE_CLIP * np.sqrt(q)
-    residual = a_norm * R + theta_norm
-    G1 = float(a_norm * residual + spec.mu_reg * R)
-    G2 = float(2.0 * np.sqrt(m * p))
-    F = float(0.5 * residual**2 + 0.5 * spec.mu_reg * R**2)
-    return ProblemBounds(F=F, G1=G1, G2=G2)
-
-
-class RegressionAdversary:
-    """Bandit interface over the generated problems: values at two points only.
-
-    The engine sees nothing but FeedbackValues; parameters stay private to
-    this module. The engine queries each (i, t) once, so parameters are drawn
-    afresh on every call.
-    """
-
-    def __init__(self, spec: RegressionProblemSpec):
-        self.spec = spec
-
-    def instance(self, i: int, t: int) -> ProblemInstanceAt:
-        return materialize(self.spec, i, t)
-
-    def feedback(self, i: int, t: int, x, probe) -> FeedbackValues:
-        inst = self.instance(i, t)
-        return FeedbackValues(
-            f_at_x=eval_loss(inst, x),
-            f_at_probe=eval_loss(inst, probe),
-            g_at_x=eval_constraint(inst, x),
-            g_at_probe=eval_constraint(inst, probe),
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = spec.halfwidth * np.sqrt(p)
+        a_norm = np.sqrt(q * p)
+        theta_norm = a_norm * np.sqrt(p) + NOISE_CLIP * np.sqrt(q)
+        residual = a_norm * R + theta_norm
+        F_loss = 0.5 * residual**2
+        G1 = float(a_norm * residual + spec.mu_reg * R)
+        F = float(F_loss + 0.5 * spec.mu_reg * R**2)
+    if not np.isfinite(F_loss):
+        raise ValueError(f"halfwidth={spec.halfwidth:g} overflows the loss bound F")
+    if not (np.isfinite(G1) and np.isfinite(F)):
+        raise ValueError(f"mu_reg={spec.mu_reg:g} overflows the loss bounds F and G1")
+    return ProblemBounds(F=F, G1=G1, G2=float(2.0 * np.sqrt(m * p)))

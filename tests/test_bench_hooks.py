@@ -52,8 +52,8 @@ def test_wrapped_names_see_every_call(tmp_path, monkeypatch):
     assert calls["network.build_mixing"] == rounds
     assert calls["oracle.sample_unit_sphere"] == n * rounds
     assert calls["geometry.project_scaled"] == n * rounds
-    # once in the engine's feedback, once in the metrics pass
-    assert calls["problems.materialize"] == 2 * n * rounds
+    # drawn once, by the engine; the metrics pass reads the trace
+    assert calls["problems.materialize"] == n * rounds
 
 
 def test_child_digest_matches_run_trace_digest():

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,17 +169,23 @@ class TestParse:
          "run.comparator.max_iter"),
         ("desk-convex-c05", {"run": {"comparator": {"tol": -1}}}, "run.comparator.tol"),
         ("desk-convex-c05", {"problem": {"halfwidth": float("inf")}}, "problem.halfwidth"),
-        # finite, but the analytic bounds overflow to nan
+        # finite, but the analytic bounds overflow
         ("desk-convex-c05", {"problem": {"halfwidth": 1e308}}, "problem"),
         # 1000.0 ** 2000 overflows when the last round's step size is formed
         ("paper-sec4", {"schedule": {"overrides": {"alpha_exponent": -2000}}},
          "schedule.overrides"),
+        # the loss bound F overflows; G1 and G2 stay finite
+        ("desk-convex-c05", {"problem": {"halfwidth": 1e200}}, "problem.halfwidth"),
+        # the ridge term alone overflows G1 and F
+        ("desk-strongly-convex-t4", {"problem": {"mu_reg": 1e308}}, "problem.mu_reg"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, preset, override, path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(override))  # inf is written as Infinity
-        code = main(["--preset", preset, "--config", str(cfg_path), "--seed-list", "1",
-                     "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a numpy overflow warning fails the case
+            code = main(["--preset", preset, "--config", str(cfg_path), "--seed-list", "1",
+                         "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and path in err

@@ -16,8 +16,8 @@ from banditpd.engine import (
 from banditpd.geometry import Box
 from banditpd.network import GraphSchedule, build_mixing, generate_round_graph
 from banditpd.oracle import ProblemBounds, StreamFactory
+from banditpd import engine
 from banditpd.problems import (
-    RegressionAdversary,
     RegressionProblemSpec,
     compute_bounds,
     eval_constraint,
@@ -156,16 +156,32 @@ class TestRunHorizon:
         spec = cfg.problem
         box = Box(dim=spec.p, halfwidth=spec.halfwidth)
         streams = StreamFactory(spec.seed)
-        adversary = RegressionAdversary(spec)
         Z = init_agents(spec.n, box, round_params(cfg.schedule, 1).xi)
         trace = run_horizon(5, cfg)
         for t in range(1, 5):
-            Z, rec = run_round(t, Z, cfg.schedule, cfg.graph, adversary, streams,
+            Z, rec = run_round(t, Z, cfg.schedule, cfg.graph, spec, streams,
                                box=box, bounds=cfg.bounds)
             assert rec.t == t and Z.shape == (spec.n, spec.p)
             assert np.array_equal(rec.x, trace.x_hist[t - 1])
             assert np.array_equal(rec.step_norm, trace.step_norm[t - 1])
             assert np.array_equal(rec.dual_norm, trace.dual_norm[t - 1])
+            assert np.array_equal(rec.B, trace.B[t - 1])
+
+    def test_trace_records_each_rounds_problem_data(self):
+        # The engine draws each round once and keeps the draw; every entry is
+        # exactly what materialize gives for that (agent, round).
+        cfg = small_config(seed=5, n=3)
+        trace = run_horizon(6, cfg)
+        spec = cfg.problem
+        assert trace.A.shape == (5, 3, spec.q_i, spec.p)
+        assert trace.b.shape == (5, 3, spec.m_i)
+        for k in range(trace.rounds):
+            for i in range(spec.n):
+                inst = materialize(spec, i + 1, k + 1)
+                assert np.array_equal(trace.A[k, i], inst.A)
+                assert np.array_equal(trace.theta[k, i], inst.theta)
+                assert np.array_equal(trace.B[k, i], inst.B)
+                assert np.array_equal(trace.b[k, i], inst.b)
 
     def test_clean_run_leaves_counters_at_zero(self):
         trace = run_horizon(100, small_config())
@@ -260,7 +276,23 @@ class TestInvariantEnforcement:
         counters = {name: 0 for name in INVARIANT_NAMES}
         Z = init_agents(spec.n, box, round_params(cfg.schedule, 1).xi)
         with pytest.raises(InvariantViolation, match="displacement bound"):
-            run_round(1, Z, cfg.schedule, cfg.graph, RegressionAdversary(spec),
+            run_round(1, Z, cfg.schedule, cfg.graph, spec,
                       StreamFactory(spec.seed), box=box, bounds=cfg.bounds, counters=counters)
         assert counters["displacement_bound"] == 1
         assert sum(counters.values()) == 1
+
+    @pytest.mark.parametrize("field, entry", [("theta", np.nan), ("b", np.inf)])
+    def test_non_finite_feedback_raises(self, monkeypatch, field, entry):
+        # A loss (theta) or constraint (b) value that is not finite stops the
+        # run at that round and agent, before its state is updated.
+        real = engine.materialize_round
+
+        def corrupted(spec, t):
+            A, theta, B, b = real(spec, t)
+            if t == 3:
+                {"theta": theta, "b": b}[field][1, 0] = entry
+            return A, theta, B, b
+
+        monkeypatch.setattr(engine, "materialize_round", corrupted)
+        with pytest.raises(ValueError, match="non-finite feedback at t=3, agent 2"):
+            run_horizon(10, small_config(check_invariants="off"))

@@ -1,8 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from banditpd import problems
 from banditpd.engine import RunConfig, run_horizon
 from banditpd.geometry import Box
 from banditpd.metrics import (
@@ -24,6 +23,7 @@ from banditpd.metrics import (
     solve_offline_comparator,
 )
 from banditpd.network import GraphSchedule
+from banditpd.oracle import StreamFactory
 from banditpd.problems import (
     RegressionProblemSpec,
     eval_constraint,
@@ -127,31 +127,47 @@ class TestEvaluateTrace:
         row = 2 * spec.n * spec.m_i + 1 * spec.m_i  # round 3, agent 2, first row
         assert np.array_equal(ev.pool_normals[row], inst.B[0])
         assert ev.pool_offsets[row] == inst.b[0]
+        # the pool is the trace's recorded data, viewed rather than copied
+        assert np.shares_memory(ev.pool_normals, trace.B)
+        assert np.shares_memory(ev.pool_offsets, trace.b)
+
+    def test_reads_the_trace_without_drawing(self, monkeypatch):
+        trace = tiny_run(T=6)
+        expected = evaluate_trace(trace)
+
+        def no_draws(*args):
+            raise AssertionError("evaluate_trace drew problem data")
+
+        monkeypatch.setattr(problems, "materialize", no_draws)
+        monkeypatch.setattr(StreamFactory, "stream", no_draws)
+        ev = evaluate_trace(trace)
+        assert np.array_equal(ev.mean_loss_inc, expected.mean_loss_inc)
+        assert np.array_equal(ev.quad_P, expected.quad_P)
 
 
 class TestSeriesMetrics:
     def test_ccv_is_a_running_sum(self):
         ev = stub_eval(ccv_inc=[1.0, 2.0, 0.5])
-        s = network_ccv(SimpleNamespace(rounds=3), ev)
+        s = network_ccv(ev)
         assert np.array_equal(s.horizons, [1, 2, 3])
         assert np.allclose(s.values, [1.0, 3.0, 3.5])
 
     def test_loss_is_a_running_sum(self):
         ev = stub_eval(loss_inc=[2.0, 2.0, 1.0])
-        s = cumulative_loss(SimpleNamespace(rounds=3), ev)
+        s = cumulative_loss(ev)
         assert np.allclose(s.values, [2.0, 4.0, 5.0])
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            network_ccv(SimpleNamespace(rounds=0))
+            network_ccv(stub_eval(ccv_inc=[]))
 
     def test_regret_telescopes_against_loss(self):
         trace = tiny_run()
         ev = evaluate_trace(trace)
-        comp = solve_offline_comparator(trace.problem, trace.rounds, evaluation=ev)
+        comp = solve_offline_comparator(ev)
         assert comp.converged
-        reg = network_regret(trace, comp, ev)
-        loss = cumulative_loss(trace, ev)
+        reg = network_regret(ev, comp)
+        loss = cumulative_loss(ev)
         star = np.cumsum(comparator_loss_series(ev, comp.x_star))
         assert np.allclose(reg.values, loss.values - star, atol=1e-9)
 
@@ -160,7 +176,7 @@ class TestSeriesMetrics:
         bad = ComparatorResult(x_star=np.zeros(2), objective=0.0,
                                converged=False, max_violation=1.0)
         with pytest.raises(ValueError):
-            network_regret(trace, bad)
+            network_regret(evaluate_trace(trace), bad)
 
     def test_comparator_loss_series_is_the_quadratic(self):
         ev = evaluate_trace(tiny_run(seed=9, T=8))
@@ -256,31 +272,16 @@ class TestQuadraticMinimizer:
 
 
 class TestOfflineComparator:
-    def test_evaluation_reuse_matches_rematerialization(self):
-        trace = tiny_run(seed=21, T=12)
-        ev = evaluate_trace(trace)
-        a = solve_offline_comparator(trace.problem, trace.rounds, evaluation=ev)
-        b = solve_offline_comparator(trace.problem, trace.rounds)
-        assert a.converged and b.converged
-        assert np.allclose(a.x_star, b.x_star, atol=1e-10)
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
-
-    def test_rejects_mismatched_evaluation(self):
-        trace = tiny_run(T=12)
-        ev = evaluate_trace(trace)
-        with pytest.raises(ValueError):
-            solve_offline_comparator(trace.problem, trace.rounds - 1, evaluation=ev)
-
     def test_rounds_validation(self):
-        spec = RegressionProblemSpec(n=1, p=2, q_i=1, m_i=1, halfwidth=1.0,
-                                     b_offset=0.1, seed=0)
+        ev = evaluate_trace(tiny_run(T=1))
+        assert ev.rounds == 0
         with pytest.raises(ValueError):
-            solve_offline_comparator(spec, 0)
+            solve_offline_comparator(ev)
 
     def test_comparator_point_is_feasible_for_every_round(self):
         trace = tiny_run(seed=33, T=20)
         ev = evaluate_trace(trace)
-        comp = solve_offline_comparator(trace.problem, trace.rounds, evaluation=ev)
+        comp = solve_offline_comparator(ev)
         assert comp.converged
         slack = ev.pool_normals @ comp.x_star - ev.pool_offsets
         assert float(slack.max()) <= 1e-6

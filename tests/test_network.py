@@ -93,7 +93,7 @@ class TestMixing:
         sched = GraphSchedule(n=9, edge_prob=0.35, backbone=True, seed=3)
         for t in range(1, 400):
             W = build_mixing(generate_round_graph(sched, t), 9)
-            validate_double_stochasticity(W, tol=1e-12)
+            assert validate_double_stochasticity(W, tol=1e-12), f"round {t}"
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

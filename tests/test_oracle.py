@@ -6,10 +6,8 @@ from banditpd.oracle import (
     PURPOSE_EDGES,
     PURPOSE_INIT,
     PURPOSE_PROBLEM,
-    FeedbackValues,
     ProblemBounds,
     StreamFactory,
-    TwoPointSample,
     estimate_constraint_jacobian,
     estimate_loss_grad,
     sample_unit_ball,
@@ -64,24 +62,21 @@ def test_ball_samples_stay_inside():
 
 
 def test_two_point_sample_validation():
-    with pytest.raises(ValueError):
-        TwoPointSample(direction=[1.0, 1.0], radius=0.1)  # not unit norm
-    with pytest.raises(ValueError):
-        TwoPointSample(direction=[1.0, 0.0], radius=0.0)
-
-
-def test_feedback_values_validation():
-    with pytest.raises(ValueError):
-        FeedbackValues(f_at_x=np.inf, f_at_probe=0.0,
-                       g_at_x=[0.0], g_at_probe=[0.0])
-    with pytest.raises(ValueError):
-        FeedbackValues(f_at_x=0.0, f_at_probe=0.0,
-                       g_at_x=[0.0, 1.0], g_at_probe=[0.0])
+    # the probe radius delta of the sample (u, delta) must be positive
+    u = np.array([1.0, 0.0])
+    for delta in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            estimate_loss_grad(0.0, 0.0, u, delta, p=2)
+        with pytest.raises(ValueError):
+            estimate_constraint_jacobian(np.zeros(1), np.zeros(1), u, delta, p=2)
 
 
 def test_problem_bounds_positive():
     with pytest.raises(ValueError):
         ProblemBounds(F=1.0, G1=0.0, G2=1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemBounds(F=1.0, G1=bad, G2=1.0)
 
 
 def test_loss_grad_frozen_one_dim():
@@ -90,21 +85,16 @@ def test_loss_grad_frozen_one_dim():
     x = 1.0
     delta = 0.1
     for direction, expected in ((1.0, 2.1), (-1.0, 1.9)):
-        sample = TwoPointSample(direction=[direction], radius=delta)
         probe = x + delta * direction
-        fb = FeedbackValues(f_at_x=x * x, f_at_probe=probe * probe,
-                            g_at_x=[0.0], g_at_probe=[0.0])
-        est = estimate_loss_grad(fb, sample, p=1)
+        est = estimate_loss_grad(x * x, probe * probe, np.array([direction]), delta, p=1)
         assert est[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_constraint_jacobian_frozen_two_dim():
     # g linear with rows (2, 0) and (0, 0) sensed along u = (1, 0):
     # estimate rows are u * (p/delta) * (g(probe) - g(x)).
-    sample = TwoPointSample(direction=[1.0, 0.0], radius=0.5)
-    fb = FeedbackValues(f_at_x=0.0, f_at_probe=0.0,
-                        g_at_x=[1.0, 3.0], g_at_probe=[2.0, 3.0])
-    jac = estimate_constraint_jacobian(fb, sample, p=2)
+    jac = estimate_constraint_jacobian(np.array([1.0, 3.0]), np.array([2.0, 3.0]),
+                                       np.array([1.0, 0.0]), 0.5, p=2)
     assert jac.shape == (2, 2)
     assert np.allclose(jac, [[4.0, -0.0], [0.0, -0.0]])
 
@@ -116,11 +106,7 @@ def test_loss_grad_exact_for_linear_function():
     x = np.array([0.3, 0.1, -0.2])
     for _ in range(25):
         u = sample_unit_sphere(rng, 3)
-        sample = TwoPointSample(direction=u, radius=0.05)
-        fb = FeedbackValues(
-            f_at_x=float(slope @ x), f_at_probe=float(slope @ (x + 0.05 * u)),
-            g_at_x=[0.0], g_at_probe=[0.0])
-        est = estimate_loss_grad(fb, sample, p=3)
+        est = estimate_loss_grad(float(slope @ x), float(slope @ (x + 0.05 * u)), u, 0.05, p=3)
         # Estimate is 3 * (slope @ u) u; its mean over u is slope.
         assert np.allclose(est, 3.0 * float(slope @ u) * u, atol=1e-12)
 
@@ -135,9 +121,7 @@ def test_gradient_estimator_mean_matches_gradient():
     for _ in range(n):
         u = sample_unit_sphere(rng, 2)
         probe = x + delta * u
-        fb = FeedbackValues(f_at_x=float(x @ x), f_at_probe=float(probe @ probe),
-                            g_at_x=[0.0], g_at_probe=[0.0])
-        total += estimate_loss_grad(fb, TwoPointSample(u, delta), p=2)
+        total += estimate_loss_grad(float(x @ x), float(probe @ probe), u, delta, p=2)
     mean = total / n
     # SE of each component is ~ p*|f'|/sqrt(n); stay well inside 4 SE.
     assert np.allclose(mean, 2.0 * x, atol=0.06)
@@ -154,11 +138,7 @@ def test_estimate_norm_bound_fuzz():
         u = sample_unit_sphere(rng, p)
         delta = float(rng.uniform(1e-4, 1.0))
         x = rng.uniform(-1, 1, size=p)
-        fb = FeedbackValues(
-            f_at_x=float(slope @ x),
-            f_at_probe=float(slope @ (x + delta * u)),
-            g_at_x=[0.0], g_at_probe=[0.0])
-        est = estimate_loss_grad(fb, TwoPointSample(u, delta), p=p)
+        est = estimate_loss_grad(float(slope @ x), float(slope @ (x + delta * u)), u, delta, p=p)
         assert np.linalg.norm(est) <= p * g1
 
 

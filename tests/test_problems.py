@@ -3,7 +3,6 @@ import pytest
 
 from banditpd.oracle import PURPOSE_PROBLEM, StreamFactory
 from banditpd.problems import (
-    RegressionAdversary,
     RegressionProblemSpec,
     compute_bounds,
     eval_constraint,
@@ -122,6 +121,17 @@ def test_compute_bounds_formulas():
     assert bounds.F == pytest.approx(0.5 * residual ** 2)
 
 
+def test_bounds_overflow_names_the_field():
+    big_box = RegressionProblemSpec(n=2, p=3, q_i=2, m_i=2, halfwidth=1e200,
+                                    b_offset=0.01, seed=1)
+    with pytest.raises(ValueError, match="^halfwidth="):
+        compute_bounds(big_box)
+    big_ridge = RegressionProblemSpec(n=2, p=3, q_i=2, m_i=2, halfwidth=5.0,
+                                      b_offset=0.01, seed=1, mu_reg=1e308)
+    with pytest.raises(ValueError, match="^mu_reg="):
+        compute_bounds(big_ridge)
+
+
 def test_bounds_dominate_sampled_gradients():
     bounds = compute_bounds(SPEC)
     rng = np.random.default_rng(1)
@@ -148,16 +158,3 @@ def test_theta_noise_is_clipped_standard_normal():
     noise = np.asarray(noise)
     assert abs(noise.mean()) < 0.05
     assert abs(noise.std() - 1.0) < 0.05
-
-
-class TestAdversary:
-    def test_feedback_matches_direct_evaluation(self):
-        adv = RegressionAdversary(SPEC)
-        x = np.array([0.5, -0.5, 1.0])
-        probe = x + 0.01
-        fb = adv.feedback(2, 3, x, probe)
-        inst = materialize(SPEC, 2, 3)
-        assert fb.f_at_x == pytest.approx(eval_loss(inst, x))
-        assert fb.f_at_probe == pytest.approx(eval_loss(inst, probe))
-        assert np.allclose(fb.g_at_x, eval_constraint(inst, x))
-        assert np.allclose(fb.g_at_probe, eval_constraint(inst, probe))
