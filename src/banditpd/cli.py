@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
-A run is: for each seed, simulate the full horizon, stream the metrics pass,
-optionally solve the offline comparator, then write per-seed CSVs, a
-seed-averaged CSV, and a JSON report with fitted slopes and the matching
-theoretical exponents. Everything is deterministic given the config, so two
-invocations produce byte-identical outputs.
+A run is: for each seed, simulate(config, seed) runs the full horizon, the
+metrics pass and optionally the offline comparator; then run_experiment writes
+per-seed CSVs, a seed-averaged CSV, and a JSON report with fitted slopes and
+the matching theoretical exponents. Everything is deterministic given the
+config, so two invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import VARIANTS, InvariantViolation, RunConfig, run_horizon
+from .engine import VARIANTS, InvariantViolation, run_horizon
 from .metrics import (
     ComparatorOptions,
     MetricSeries,
@@ -152,7 +152,6 @@ CONFIG_KEYS = (
     ("run", "variant", str, "paper", _one_of(VARIANTS)),
     ("run", "out", str, "runs/out", None),
     ("run", "regret", bool, True, None),
-    ("run", "check_invariants", str, "strict", _one_of(("strict", "off"))),
     ("run", "tail_fraction", float, 0.5, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
     ("run", "init_rule", str, "zeros", _one_of(("zeros", "uniform"))),
     ("run", "comparator", dict, {}, None),
@@ -335,53 +334,37 @@ def _csv_lines(checkpoints, regret, ccv, loss, step, dual) -> list[str]:
     return lines
 
 
-@dataclass
-class SeedOutcome:
-    seed: int
-    fingerprint: str
-    trace_digest: str
-    invariant_counters: dict[str, int]
-    checkpoints: np.ndarray
-    net_regret: np.ndarray
-    net_ccv: np.ndarray
-    cum_loss: np.ndarray
-    mean_step: np.ndarray
-    mean_dual: np.ndarray
-    comparator: dict | None
-
-
 class ComparatorFailure(RuntimeError):
     pass
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
+def simulate(config: ExperimentConfig, seed: int) -> dict:
+    """Run one seed of the config: the trace, its metrics pass and, when
+    run.regret is on, the offline comparator. The trace is not kept.
+
+    Returns the seed's trace_digest, its comparator certificate (None without
+    regret) and per-round arrays over rounds 1..horizon-1: net_ccv, cum_loss,
+    net_regret (nan without regret), and mean_step and mean_dual, the means
+    over agents of the step and dual norms. Raises InvariantViolation when a
+    round breaks an invariant, ComparatorFailure when the comparator does not
+    certify its answer.
+    """
     run = config.values["run"]
-    spec = config.problem_spec(seed)
-    run_cfg = RunConfig(
-        problem=spec, schedule=config.schedule, graph=config.graph_schedule(seed),
-        variant=run["variant"], init_rule=run["init_rule"],
-        check_invariants=run["check_invariants"], bounds=compute_bounds(spec),
-    )
-    trace = run_horizon(config.horizon, run_cfg)
-    rounds = trace.rounds
-    checkpoints = log_checkpoints(rounds)
-    empty = np.array([])
-    if rounds == 0:
-        return SeedOutcome(seed, trace.fingerprint(), trace.digest(), trace.invariant_counters,
-                           checkpoints, empty, empty, empty, empty, empty, None)
+    trace = run_horizon(config.horizon, config.problem_spec(seed), config.schedule,
+                        config.graph_schedule(seed), run["variant"], run["init_rule"])
+    result = {"trace_digest": trace.digest(), "comparator": None,
+              "mean_step": trace.step_norm.mean(axis=1),
+              "mean_dual": trace.dual_norm.mean(axis=1)}
+    if trace.rounds == 0:
+        return {**result, "net_ccv": np.array([]), "cum_loss": np.array([]),
+                "net_regret": np.array([])}
 
     ev = evaluate_trace(trace)
-    ccv = network_ccv(ev).select(checkpoints).values
-    loss = cumulative_loss(ev).select(checkpoints).values
-    idx = checkpoints - 1
-    mean_step = trace.step_norm[idx].mean(axis=1)
-    mean_dual = trace.dual_norm[idx].mean(axis=1)
-
-    comparator_info = None
-    regret = np.full(checkpoints.size, np.nan)
+    result.update(net_ccv=network_ccv(ev).values, cum_loss=cumulative_loss(ev).values,
+                  net_regret=np.full(trace.rounds, np.nan))
     if run["regret"]:
         comp = solve_offline_comparator(ev, ComparatorOptions(**run["comparator"]))
-        comparator_info = {
+        result["comparator"] = {
             "converged": comp.converged,
             "objective": comp.objective,
             "max_violation": comp.max_violation,
@@ -391,11 +374,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
             raise ComparatorFailure(
                 f"comparator did not converge for seed {seed} "
                 f"(max_violation={comp.max_violation:.3g})")
-        regret = network_regret(ev, comp).select(checkpoints).values
-
-    return SeedOutcome(seed, trace.fingerprint(), trace.digest(), trace.invariant_counters,
-                       checkpoints, regret, ccv, loss, mean_step, mean_dual,
-                       comparator_info)
+        result["net_regret"] = network_regret(ev, comp).values
+    return result
 
 
 def _fit_or_error(series: MetricSeries, tail_fraction: float):
@@ -409,7 +389,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Run all seeds, write outputs under run.out, return an exit code."""
     run = config.values["run"]
     try:
-        outcomes = [_run_seed(config, s) for s in config.seeds]
+        results = {seed: simulate(config, seed) for seed in config.seeds}
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -420,60 +400,40 @@ def run_experiment(config: ExperimentConfig) -> int:
     out_dir = Path(run["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for oc in outcomes:
-        lines = _csv_lines(oc.checkpoints, oc.net_regret, oc.net_ccv,
-                           oc.cum_loss, oc.mean_step, oc.mean_dual)
-        (out_dir / f"seed-{oc.seed}.csv").write_text("\n".join(lines) + "\n")
+    checkpoints = log_checkpoints(config.horizon - 1)
+    idx = checkpoints - 1
+    columns = ("net_regret", "net_ccv", "cum_loss", "mean_step", "mean_dual")
+    for seed, res in results.items():
+        lines = _csv_lines(checkpoints, *(res[col][idx] for col in columns))
+        (out_dir / f"seed-{seed}.csv").write_text("\n".join(lines) + "\n")
 
-    checkpoints = outcomes[0].checkpoints
-
-    def seed_mean(attr):
-        if not checkpoints.size:
-            return np.array([])
-        return np.array([getattr(oc, attr) for oc in outcomes]).mean(axis=0)
-
-    avg_regret = seed_mean("net_regret")
-    avg_ccv = seed_mean("net_ccv")
-    avg_loss = seed_mean("cum_loss")
-    avg_step = seed_mean("mean_step")
-    avg_dual = seed_mean("mean_dual")
-    lines = _csv_lines(checkpoints, avg_regret, avg_ccv, avg_loss, avg_step, avg_dual)
+    avg = {col: np.array([res[col][idx] for res in results.values()]).mean(axis=0)
+           for col in columns}
+    lines = _csv_lines(checkpoints, *(avg[col] for col in columns))
     (out_dir / "seed-averaged.csv").write_text("\n".join(lines) + "\n")
 
     tail_fraction = run["tail_fraction"]
     slopes: dict[str, object] = {"tail_fraction": tail_fraction}
     if checkpoints.size:
-        slopes["net_ccv"] = _fit_or_error(MetricSeries(checkpoints, avg_ccv), tail_fraction)
-        slopes["cum_loss"] = _fit_or_error(MetricSeries(checkpoints, avg_loss), tail_fraction)
-        if run["regret"]:
-            slopes["net_regret"] = _fit_or_error(MetricSeries(checkpoints, avg_regret),
-                                                 tail_fraction)
-        else:
-            slopes["net_regret"] = None
+        slopes["net_ccv"] = _fit_or_error(MetricSeries(checkpoints, avg["net_ccv"]), tail_fraction)
+        slopes["cum_loss"] = _fit_or_error(MetricSeries(checkpoints, avg["cum_loss"]), tail_fraction)
+        slopes["net_regret"] = (
+            _fit_or_error(MetricSeries(checkpoints, avg["net_regret"]), tail_fraction)
+            if run["regret"] else None)
     ids = envelope_ids_for_mode(config.schedule.mode)
     exponents = {}
     for eid in ids:
         exp = envelope_exponent(eid, config.schedule.c)
         exponents[eid] = exp if exp is not None else ("sqrt(T log T)" if eid == "T4-ccv" else "log(T)")
 
-    totals: dict[str, int] = {}
-    for oc in outcomes:
-        for name, count in oc.invariant_counters.items():
-            totals[name] = totals.get(name, 0) + count
-
     report = {
         "version": __version__,
         "config": config.to_dict(),
         "slopes": slopes,
         "rate_envelopes": exponents,
-        "invariant_violations": totals,
-        "seeds": [
-            {"seed": oc.seed, "fingerprint": oc.fingerprint,
-             "trace_digest": oc.trace_digest,
-             "invariant_counters": oc.invariant_counters,
-             "comparator": oc.comparator}
-            for oc in outcomes
-        ],
+        "seeds": [{"seed": seed, "trace_digest": res["trace_digest"],
+                   "comparator": res["comparator"]}
+                  for seed, res in results.items()],
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -496,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--variant", choices=list(VARIANTS))
     parser.add_argument("--no-regret", action="store_true",
                         help="skip the offline comparator and regret column")
-    parser.add_argument("--check-invariants", choices=["strict", "off"])
     return parser
 
 
@@ -521,8 +480,6 @@ def main(argv=None) -> int:
         overrides["run"]["variant"] = args.variant
     if args.no_regret:
         overrides["run"]["regret"] = False
-    if args.check_invariants is not None:
-        overrides["run"]["check_invariants"] = args.check_invariants
 
     try:
         config = parse_config(args.config, args.preset, overrides)

@@ -11,9 +11,8 @@ Z_t and returns Z_{t+1}, so per-agent updates never see each other's output.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .oracle import (
 from .problems import (
     ProblemInstanceAt,
     RegressionProblemSpec,
+    compute_bounds,
     eval_constraint,
     eval_loss,
     materialize_round,
@@ -43,14 +43,6 @@ MEMBERSHIP_TOL = 1e-9
 STEP_TOL = 1e-9
 
 TRACE_ARRAYS = ("x_hist", "loss", "g_clipped", "direction_norm", "step_norm", "dual_norm")
-
-INVARIANT_NAMES = (
-    "dual_nonneg",
-    "shrunk_membership",
-    "query_membership",
-    "step_bound",
-    "displacement_bound",
-)
 
 
 class InvariantViolation(RuntimeError):
@@ -75,35 +67,13 @@ class RoundRecord:
 
 
 @dataclass
-class RunConfig:
-    problem: RegressionProblemSpec
-    schedule: ScheduleParams
-    graph: GraphSchedule
-    variant: str = "paper"
-    init_rule: str = "zeros"
-    check_invariants: str = "strict"  # or "off"
-    bounds: ProblemBounds | None = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.init_rule not in ("zeros", "uniform"):
-            raise ValueError(f"unknown init_rule {self.init_rule!r}")
-        if self.check_invariants not in ("strict", "off"):
-            raise ValueError("check_invariants must be 'strict' or 'off'")
-
-
-@dataclass
 class RunTrace:
-    """Everything a metrics pass needs: decisions, diagnostics, the problem
-    data each round was drawn with, and identity. digest() covers only the
-    TRACE_ARRAYS, the trajectory; the problem data is a function of the spec.
+    """Everything a metrics pass needs: decisions, diagnostics and the problem
+    data each round was drawn with. digest() covers only the TRACE_ARRAYS, the
+    trajectory; the problem data is a function of the spec.
     """
 
     problem: RegressionProblemSpec
-    schedule: ScheduleParams
-    variant: str
-    horizon: int
     x_hist: np.ndarray          # (rounds, n, p)
     loss: np.ndarray            # (rounds, n)
     g_clipped: np.ndarray       # (rounds, n, m)
@@ -114,7 +84,6 @@ class RunTrace:
     theta: np.ndarray           # (rounds, n, q)
     B: np.ndarray               # (rounds, n, m, p)
     b: np.ndarray               # (rounds, n, m)
-    invariant_counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def rounds(self) -> int:
@@ -128,19 +97,6 @@ class RunTrace:
             h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
             h.update(arr.tobytes())
         return h.hexdigest()
-
-    def fingerprint(self) -> str:
-        """Stable hash of the run identity (problem, schedule, variant, horizon)."""
-        spec = self.problem
-        sched = self.schedule
-        payload = {
-            "problem": [spec.n, spec.p, spec.q_i, spec.m_i, spec.halfwidth, spec.b_offset, spec.seed, spec.mu_reg],
-            "schedule": [sched.mode, sched.gamma0, sched.c, sched.mu, sched.r_X,
-                         list(vars(sched.overrides).values()) if sched.overrides else None],
-            "variant": self.variant,
-            "horizon": self.horizon,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def init_agents(n, box: Box, xi1: float, init_rule: str = "zeros",
@@ -206,7 +162,7 @@ def _update_agent(i, x_i, t, sched, xi_next, box, inst, streams, variant):
     return z_new, q_new, f_x, g_clip, float(np.linalg.norm(omega)), step, probe
 
 
-def _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters):
+def _check_round_invariants(t, sched, xi_next, box, bounds, results, X):
     """Raise InvariantViolation on the first failed per-round assertion."""
     h = box.halfwidth
     half_next = (1.0 - xi_next) * h
@@ -214,28 +170,21 @@ def _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters
     for idx, (z_new, q_new, _loss, g_clip, omega_norm, step, probe) in enumerate(results):
         x_i = X[idx]
         if np.any(q_new < 0.0):
-            counters["dual_nonneg"] += 1
             raise InvariantViolation(f"negative dual at t={t}, agent {idx + 1}")
         if np.any(np.abs(z_new) > half_next + MEMBERSHIP_TOL):
-            counters["shrunk_membership"] += 1
             raise InvariantViolation(f"z outside shrunk set at t={t}, agent {idx + 1}")
         if np.any(np.abs(x_i) > h + MEMBERSHIP_TOL) or np.any(np.abs(probe) > h + MEMBERSHIP_TOL):
-            counters["query_membership"] += 1
             raise InvariantViolation(f"query point outside the set at t={t}, agent {idx + 1}")
         if step > sched.alpha * omega_norm + STEP_TOL:
-            counters["step_bound"] += 1
             raise InvariantViolation(f"step bound failed at t={t}, agent {idx + 1}")
-        if bounds is not None:
-            cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * float(np.linalg.norm(g_clip)))
-            if step > cap + STEP_TOL:
-                counters["displacement_bound"] += 1
-                raise InvariantViolation(f"displacement bound failed at t={t}, agent {idx + 1}")
+        cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * float(np.linalg.norm(g_clip)))
+        if step > cap + STEP_TOL:
+            raise InvariantViolation(f"displacement bound failed at t={t}, agent {idx + 1}")
 
 
 def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
               spec: RegressionProblemSpec, streams: StreamFactory, variant: str = "paper", *,
-              box: Box, check_invariants: str = "strict", bounds: ProblemBounds | None = None,
-              counters: dict[str, int] | None = None) -> tuple[np.ndarray, RoundRecord]:
+              box: Box, bounds: ProblemBounds) -> tuple[np.ndarray, RoundRecord]:
     """One synchronous round at index t; returns the next primal state and the record.
 
     The round's problem data is drawn once, here, and each agent gets its own rows.
@@ -251,10 +200,7 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
                              streams, variant)
                for idx in range(n)]
 
-    if check_invariants == "strict":
-        if counters is None:
-            counters = {name: 0 for name in INVARIANT_NAMES}
-        _check_round_invariants(t, sched, xi_next, box, bounds, results, X, counters)
+    _check_round_invariants(t, sched, xi_next, box, bounds, results, X)
 
     z_new, q_new, loss, g_clip, direction_norm, step_norm, _probe = zip(*results)
     record = RoundRecord(
@@ -270,20 +216,24 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
     return np.stack(z_new), record
 
 
-def run_horizon(T: int, config: RunConfig) -> RunTrace:
+def run_horizon(T: int, spec: RegressionProblemSpec, schedule: ScheduleParams,
+                graph: GraphSchedule, variant: str = "paper", init_rule: str = "zeros") -> RunTrace:
     """Execute rounds t = 1 .. T-1 and return the full trace.
 
     Metrics cover the executed decisions only, so the terminal consensus point
-    x_{i,T} is never formed. T = 1 yields an empty trace.
+    x_{i,T} is never formed. T = 1 yields an empty trace. Every round is
+    checked against the invariants, with the displacement cap taken from
+    compute_bounds(spec).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    spec = config.problem
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     n, p, q, m = spec.n, spec.p, spec.q_i, spec.m_i
     box = Box(dim=p, halfwidth=spec.halfwidth)
+    bounds = compute_bounds(spec)
     streams = StreamFactory(spec.seed)
-    xi1 = round_params(config.schedule, 1).xi
-    Z = init_agents(n, box, xi1, config.init_rule, streams)
+    Z = init_agents(n, box, round_params(schedule, 1).xi, init_rule, streams)
 
     # trace field -> (RoundRecord field, per-round shape)
     fields = {
@@ -293,16 +243,11 @@ def run_horizon(T: int, config: RunConfig) -> RunTrace:
         "B": ("B", (n, m, p)), "b": ("b", (n, m)),
     }
     hist = {name: np.empty((T - 1, *shape)) for name, (_attr, shape) in fields.items()}
-    counters = {name: 0 for name in INVARIANT_NAMES}
 
     for t in range(1, T):
-        Z, record = run_round(
-            t, Z, config.schedule, config.graph, spec, streams,
-            config.variant, box=box, check_invariants=config.check_invariants,
-            bounds=config.bounds, counters=counters,
-        )
+        Z, record = run_round(t, Z, schedule, graph, spec, streams, variant,
+                              box=box, bounds=bounds)
         for name, (attr, _shape) in fields.items():
             hist[name][t - 1] = getattr(record, attr)
 
-    return RunTrace(problem=spec, schedule=config.schedule, variant=config.variant,
-                    horizon=T, invariant_counters=counters, **hist)
+    return RunTrace(problem=spec, **hist)

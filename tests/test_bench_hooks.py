@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from banditpd import cli
-from banditpd.engine import RunConfig, run_horizon
+from banditpd.engine import run_horizon
 from banditpd.network import GraphSchedule
 from banditpd.problems import RegressionProblemSpec
 from banditpd.schedule import ScheduleParams
@@ -57,11 +57,10 @@ def test_wrapped_names_see_every_call(tmp_path, monkeypatch):
 
 
 def test_child_digest_matches_run_trace_digest():
-    trace = run_horizon(12, RunConfig(
-        problem=RegressionProblemSpec(n=3, p=2, q_i=1, m_i=1, halfwidth=2.0,
-                                      b_offset=0.1, seed=4),
-        schedule=ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=2.0,
-                                theorem_compliant=False),
-        graph=GraphSchedule(n=3, edge_prob=0.5, backbone=True, seed=4)))
+    trace = run_horizon(
+        12,
+        RegressionProblemSpec(n=3, p=2, q_i=1, m_i=1, halfwidth=2.0, b_offset=0.1, seed=4),
+        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=2.0, theorem_compliant=False),
+        GraphSchedule(n=3, edge_prob=0.5, backbone=True, seed=4))
     assert trace.rounds == 11 and np.any(trace.x_hist != 0.0)
     assert CHILD.trace_digest(trace) == trace.digest()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditpd import cli
+from banditpd import cli, engine
 from banditpd.cli import (
     CSV_COLUMNS,
     EXIT_COMPARATOR,
@@ -18,11 +18,10 @@ from banditpd.cli import (
     main,
     parse_config,
     run_experiment,
+    simulate,
 )
-from banditpd.engine import RunConfig, run_horizon
 from banditpd.metrics import ComparatorResult, log_checkpoints
 from banditpd.oracle import ProblemBounds
-from banditpd.problems import compute_bounds
 from banditpd.schedule import default_gamma0
 
 
@@ -35,7 +34,7 @@ RESOLVED_PRESETS = {
     "desk-convex-c05": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"run": {"comparator": {"max_iter": 100000, '
         '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -43,7 +42,7 @@ RESOLVED_PRESETS = {
     "desk-slater-margin-sweep": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 1.0, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"run": {"comparator": {"max_iter": 100000, '
         '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -51,7 +50,7 @@ RESOLVED_PRESETS = {
     "desk-strongly-convex-t4": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 1.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"run": {"comparator": {"max_iter": 100000, '
         '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -59,7 +58,7 @@ RESOLVED_PRESETS = {
     "paper-sec4": (
         '{"graph": {"backbone": true, "edge_prob": 0.1}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 100, "p": 10, "q_i": 4}, '
-        '"run": {"check_invariants": "strict", "comparator": {"max_iter": 100000, '
+        '"run": {"comparator": {"max_iter": 100000, '
         '"tol": 1e-06}, "horizon": 1000, "init_rule": "zeros", "out": "runs/out", '
         '"regret": false, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.15, "mode": "custom", '
@@ -232,18 +231,17 @@ class TestMainFlags:
         assert report["config"]["run"]["horizon"] == 60
         assert set(report["rate_envelopes"]) == {"T1-reg", "T1-ccv", "T2-ccv"}
         assert report["rate_envelopes"]["T1-reg"] == 0.5
-        assert all(v == 0 for v in report["invariant_violations"].values())
+        assert set(report) == {"version", "config", "slopes", "rate_envelopes", "seeds"}
         (seed_entry,) = report["seeds"]
+        assert set(seed_entry) == {"seed", "trace_digest", "comparator"}
         assert seed_entry["seed"] == 5
         assert seed_entry["comparator"]["converged"] is True
         assert seed_entry["comparator"]["max_violation"] <= 1e-6
-        # the digest is that of the trajectory the library produces for this seed
+        # the entry is what the library's simulate gives for this seed
         cfg = parse_config(preset="desk-convex-c05", overrides={"run": {"horizon": 60}})
-        trace = run_horizon(60, RunConfig(
-            problem=cfg.problem_spec(5), schedule=cfg.schedule, graph=cfg.graph_schedule(5),
-            bounds=compute_bounds(cfg.problem_spec(5))))
-        assert seed_entry["trace_digest"] == trace.digest()
-        assert seed_entry["fingerprint"] == trace.fingerprint()
+        result = simulate(cfg, 5)
+        assert seed_entry["trace_digest"] == result["trace_digest"]
+        assert seed_entry["comparator"] == result["comparator"]
 
     def test_no_regret_skips_comparator(self, tmp_path):
         out = tmp_path / "out"
@@ -299,6 +297,24 @@ class TestDeterminism:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_report_config_replays_the_run(self, tmp_path):
+        # report.json's config, fed back as the whole config, reruns the same
+        # experiment: every CSV byte for byte, and the report up to run.out.
+        first = tmp_path / "first"
+        assert main(["--preset", "desk-strongly-convex-t4", "--horizon", "200",
+                     "--seed-list", "101,102", "--out", str(first)]) == EXIT_OK
+        report = json.loads((first / "report.json").read_text())
+        config_path = tmp_path / "replay.json"
+        config_path.write_text(json.dumps(report["config"]))
+        replay = tmp_path / "replay"
+        assert main(["--config", str(config_path), "--out", str(replay)]) == EXIT_OK
+        for name in ("seed-101.csv", "seed-102.csv", "seed-averaged.csv"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+        replayed = json.loads((replay / "report.json").read_text())
+        assert replayed["config"]["run"].pop("out") == str(replay)
+        assert report["config"]["run"].pop("out") == str(first)
+        assert replayed == report
+
     def test_csv_floats_survive_round_trip(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--preset", "desk-convex-c05", "--horizon", "30",
@@ -313,7 +329,7 @@ class TestDeterminism:
 class TestExitCodes:
     def test_invariant_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "compute_bounds",
+            engine, "compute_bounds",
             lambda spec: ProblemBounds(F=1e-12, G1=1e-12, G2=1e-12))
         cfg = parse_config(preset="desk-convex-c05",
                            overrides=desk_overrides(tmp_path))

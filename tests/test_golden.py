@@ -14,13 +14,11 @@ import os
 import numpy as np
 import pytest
 
-from banditpd.cli import parse_config
-from banditpd.engine import RunConfig, run_horizon
-from banditpd.problems import compute_bounds
+from banditpd.cli import parse_config, simulate
 
 CAPTURED_ENV = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "fma3": True}
 
-# case id (see CASES) -> RunTrace.digest() of the seed-101 trace
+# case id (see CASES) -> trace_digest of the seed-101 run, RunTrace.digest()
 GOLDEN = {
     "desk-convex-c05-paper": "e87d48d2c2feae1de75bd408edd921669a92ec4a4ef655faea4fa6c4d4ec6478",
     "desk-convex-c05-clipped-primal":
@@ -58,14 +56,10 @@ def current_env() -> dict:
 
 
 def run_digest(preset: str, horizon: int, overrides: dict, seed: int = 101) -> str:
+    # the digest does not depend on the comparator, so regret is left off
     cfg = parse_config(preset=preset, overrides={**overrides, "run": {
-        **overrides.get("run", {}), "horizon": horizon, "seeds": [seed]}})
-    spec = cfg.problem_spec(seed)
-    run = cfg.values["run"]
-    trace = run_horizon(horizon, RunConfig(
-        problem=spec, schedule=cfg.schedule, graph=cfg.graph_schedule(seed),
-        variant=run["variant"], init_rule=run["init_rule"], bounds=compute_bounds(spec)))
-    return trace.digest()
+        **overrides.get("run", {}), "horizon": horizon, "seeds": [seed], "regret": False}})
+    return simulate(cfg, seed)["trace_digest"]
 
 
 # id -> (preset, horizon, config overrides). Every preset has xi_1 = 1, which

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banditpd import problems
-from banditpd.engine import RunConfig, run_horizon
+from banditpd.engine import run_horizon
 from banditpd.geometry import Box
 from banditpd.metrics import (
     ENVELOPE_IDS,
@@ -36,13 +36,10 @@ from banditpd.schedule import ScheduleParams
 def tiny_run(seed=11, n=3, p=2, T=25, b_offset=0.5):
     spec = RegressionProblemSpec(n=n, p=p, q_i=2, m_i=2, halfwidth=3.0,
                                  b_offset=b_offset, seed=seed)
-    cfg = RunConfig(
-        problem=spec,
-        schedule=ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=3.0,
-                                theorem_compliant=False),
-        graph=GraphSchedule(n=n, edge_prob=0.6, backbone=True, seed=seed),
-    )
-    return run_horizon(T, cfg)
+    return run_horizon(
+        T, spec,
+        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=3.0, theorem_compliant=False),
+        GraphSchedule(n=n, edge_prob=0.6, backbone=True, seed=seed))
 
 
 def stub_eval(ccv_inc=None, loss_inc=None):
