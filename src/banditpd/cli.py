@@ -141,7 +141,8 @@ CONFIG_KEYS = (
     ("schedule", "theorem_compliant", bool, True, None),
     ("schedule", "overrides", dict, None, None),
     ("schedule.overrides", "alpha_scale", float, ScheduleOverrides.alpha_scale, None),
-    ("schedule.overrides", "alpha_exponent", float, ScheduleOverrides.alpha_exponent, None),
+    ("schedule.overrides", "alpha_exponent", float, ScheduleOverrides.alpha_exponent,
+     (lambda v: v >= 0, "must be >= 0")),  # a negative exponent grows every sequence
     ("schedule.overrides", "xi_scale", float, ScheduleOverrides.xi_scale, None),
     ("schedule.overrides", "delta_scale", float, ScheduleOverrides.delta_scale, None),
     ("graph", "edge_prob", float, 0.0, None),

@@ -1,22 +1,24 @@
 """Bulk-synchronous simulation of the distributed bandit primal-dual updates.
 
-One round, per agent: mix neighbours' primal variables into a consensus point,
-probe the private loss and constraints at that point and at a sphere-perturbed
-probe, refresh the dual multiplier from the clipped constraint values, build
-the zeroth-order descent direction, and step onto the shrunk decision set.
-The primal state is one (n, p) array Z, one row per agent; round t reads only
-Z_t and returns Z_{t+1}, so per-agent updates never see each other's output.
+One round: mix neighbours' primal variables into consensus points, probe each
+agent's private loss and constraints at its point and at a sphere-perturbed
+probe, refresh the duals from the clipped constraint values, build the
+zeroth-order descent directions, and step onto the shrunk decision set. Every
+agent runs the same update, so a round is one pass over stacked arrays, one
+row per agent: the primal state Z is (n, p) and the round's problem data
+(n, q_i, p) and (n, m_i, p). Only the direction draws go agent by agent, each
+from its own stream. Round t reads only Z_t and returns Z_{t+1}. Products go
+through geometry.matvec, so a row's bits do not depend on n.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, clip_nonneg, project_scaled
+from .geometry import Box, matvec, project_scaled
 from .network import GraphSchedule, build_mixing, generate_round_graph
 from .oracle import (
     PURPOSE_DIRECTION,
@@ -44,26 +46,13 @@ STEP_TOL = 1e-9
 
 TRACE_ARRAYS = ("x_hist", "loss", "g_clipped", "direction_norm", "step_norm", "dual_norm")
 
+# What each invariant check reports, in the order the checks run.
+INVARIANTS = ("negative dual", "z outside shrunk set", "query point outside the set",
+              "step bound failed", "displacement bound failed")
+
 
 class InvariantViolation(RuntimeError):
     """An algorithm invariant failed at runtime; indicates misconfiguration."""
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Per-round, per-agent observables; arrays are indexed by agent."""
-
-    t: int
-    x: np.ndarray               # (n, p) consensus points
-    loss: np.ndarray            # (n,) own loss at own consensus point
-    g_clipped: np.ndarray       # (n, m) clipped own constraint values
-    direction_norm: np.ndarray  # (n,)
-    step_norm: np.ndarray       # (n,)
-    dual_norm: np.ndarray       # (n,) norm of the refreshed dual
-    A: np.ndarray               # (n, q, p) the round's problem data, as drawn
-    theta: np.ndarray           # (n, q)
-    B: np.ndarray               # (n, m, p)
-    b: np.ndarray               # (n, m)
 
 
 @dataclass
@@ -116,104 +105,61 @@ def init_agents(n, box: Box, xi1: float, init_rule: str = "zeros",
     return Z
 
 
-def consensus_step(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Mix primal variables: x_i = sum_j W_ij z_j, stacked as an (n, p) array."""
-    if W.shape != (Z.shape[0], Z.shape[0]):
-        raise ValueError("mixing matrix dimension mismatch")
-    return W @ Z
-
-
-def assemble_direction(grad_f_est: np.ndarray, jac_g_est: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Primal descent direction: loss-gradient estimate plus Jacobian estimate times dual."""
-    if jac_g_est.shape != (grad_f_est.shape[0], q.shape[0]):
-        raise ValueError("direction shape mismatch")
-    return grad_f_est + jac_g_est @ q
-
-
-def _update_agent(i, x_i, t, sched, xi_next, box, inst, streams, variant):
-    """Pure per-agent round body; everything it reads is value-derived.
-
-    inst holds agent i's round-t problem data, but only the loss and
-    constraint values at x_i and at the probe reach the estimators.
-    Returns (z_new, q_new, own_loss, g_clip, direction_norm, step_norm, probe).
-    """
-    p = box.dim
-    u = sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
-    probe = x_i + sched.delta * u
-    f_x, f_probe = eval_loss(inst, x_i), eval_loss(inst, probe)
-    g_x, g_probe = eval_constraint(inst, x_i), eval_constraint(inst, probe)
-    if not (math.isfinite(f_x) and math.isfinite(f_probe)
-            and np.isfinite(g_x).all() and np.isfinite(g_probe).all()):
-        raise ValueError(f"non-finite feedback at t={t}, agent {i}")
-
-    g_clip = clip_nonneg(g_x)
-    q_new = sched.gamma * g_clip
-
-    if variant == "clipped-primal":
-        # Ablation: the Jacobian estimator sees the clipped constraint values,
-        # so the probe carries no information once both points are feasible.
-        g_x, g_probe = g_clip, clip_nonneg(g_probe)
-    grad = estimate_loss_grad(f_x, f_probe, u, sched.delta, p)
-    jac = estimate_constraint_jacobian(g_x, g_probe, u, sched.delta, p)
-    omega = assemble_direction(grad, jac, q_new)
-
-    z_new = project_scaled(box, x_i - sched.alpha * omega, xi_next)
-    step = float(np.linalg.norm(z_new - x_i))
-    return z_new, q_new, f_x, g_clip, float(np.linalg.norm(omega)), step, probe
-
-
-def _check_round_invariants(t, sched, xi_next, box, bounds, results, X):
-    """Raise InvariantViolation on the first failed per-round assertion."""
-    h = box.halfwidth
-    half_next = (1.0 - xi_next) * h
-    p = box.dim
-    for idx, (z_new, q_new, _loss, g_clip, omega_norm, step, probe) in enumerate(results):
-        x_i = X[idx]
-        if np.any(q_new < 0.0):
-            raise InvariantViolation(f"negative dual at t={t}, agent {idx + 1}")
-        if np.any(np.abs(z_new) > half_next + MEMBERSHIP_TOL):
-            raise InvariantViolation(f"z outside shrunk set at t={t}, agent {idx + 1}")
-        if np.any(np.abs(x_i) > h + MEMBERSHIP_TOL) or np.any(np.abs(probe) > h + MEMBERSHIP_TOL):
-            raise InvariantViolation(f"query point outside the set at t={t}, agent {idx + 1}")
-        if step > sched.alpha * omega_norm + STEP_TOL:
-            raise InvariantViolation(f"step bound failed at t={t}, agent {idx + 1}")
-        cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * float(np.linalg.norm(g_clip)))
-        if step > cap + STEP_TOL:
-            raise InvariantViolation(f"displacement bound failed at t={t}, agent {idx + 1}")
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Row norms as np.linalg.norm takes them: sqrt of each row's dot with itself."""
+    return np.sqrt(matvec(V[:, None, :], V)[:, 0])
 
 
 def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
               spec: RegressionProblemSpec, streams: StreamFactory, variant: str = "paper", *,
-              box: Box, bounds: ProblemBounds) -> tuple[np.ndarray, RoundRecord]:
-    """One synchronous round at index t; returns the next primal state and the record.
+              box: Box, bounds: ProblemBounds) -> tuple[np.ndarray, dict]:
+    """One synchronous round at index t; returns Z_{t+1} and the round's trace rows.
 
-    The round's problem data is drawn once, here, and each agent gets its own rows.
+    rows maps each RunTrace field to this round's (n, ...) entry, row i for agent i.
     """
     sched = round_params(schedule, t)
     xi_next = round_params(schedule, t + 1).xi
-    n = Z.shape[0]
-    W = build_mixing(generate_round_graph(graph, t), n)
-    X = consensus_step(Z, W)
+    n, p = spec.n, spec.p
+    X = build_mixing(generate_round_graph(graph, t), n) @ Z
     A, theta, B, b = materialize_round(spec, t)
-    results = [_update_agent(idx + 1, X[idx], t, sched, xi_next, box,
-                             ProblemInstanceAt(A[idx], theta[idx], B[idx], b[idx], spec.mu_reg),
-                             streams, variant)
-               for idx in range(n)]
+    data = ProblemInstanceAt(A, theta, B, b, spec.mu_reg)
+    U = np.stack([sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
+                  for i in range(1, n + 1)])
+    probe = X + sched.delta * U
+    f_x, f_probe = eval_loss(data, X), eval_loss(data, probe)
+    g_x, g_probe = eval_constraint(data, X), eval_constraint(data, probe)
+    finite = (np.isfinite(f_x) & np.isfinite(f_probe)
+              & np.isfinite(g_x).all(axis=1) & np.isfinite(g_probe).all(axis=1))
+    if not finite.all():
+        raise ValueError(f"non-finite feedback at t={t}, agent {np.argmin(finite) + 1}")
 
-    _check_round_invariants(t, sched, xi_next, box, bounds, results, X)
+    g_clip = np.maximum(g_x, 0.0)
+    q_new = sched.gamma * g_clip
+    if variant == "clipped-primal":
+        # Ablation: the Jacobian estimator sees the clipped constraint values,
+        # so the probe carries no information once both points are feasible.
+        g_x, g_probe = g_clip, np.maximum(g_probe, 0.0)
+    omega = (estimate_loss_grad(f_x, f_probe, U, sched.delta, p)
+             + matvec(estimate_constraint_jacobian(g_x, g_probe, U, sched.delta, p), q_new))
+    Z_next = project_scaled(box, X - sched.alpha * omega, xi_next)
+    step, omega_norm = _norms(Z_next - X), _norms(omega)
 
-    z_new, q_new, loss, g_clip, direction_norm, step_norm, _probe = zip(*results)
-    record = RoundRecord(
-        t=t,
-        x=X,
-        loss=np.array(loss),
-        g_clipped=np.stack(g_clip),
-        direction_norm=np.array(direction_norm),
-        step_norm=np.array(step_norm),
-        dual_norm=np.array([float(np.linalg.norm(q)) for q in q_new]),
-        A=A, theta=theta, B=B, b=b,
-    )
-    return np.stack(z_new), record
+    h = box.halfwidth
+    cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * _norms(g_clip))
+    failed = np.column_stack([  # one column per INVARIANTS entry, in its order
+        (q_new < 0.0).any(axis=1),
+        (np.abs(Z_next) > (1.0 - xi_next) * h + MEMBERSHIP_TOL).any(axis=1),
+        (np.abs(X) > h + MEMBERSHIP_TOL).any(axis=1) | (np.abs(probe) > h + MEMBERSHIP_TOL).any(axis=1),
+        step > sched.alpha * omega_norm + STEP_TOL,
+        step > cap + STEP_TOL,
+    ])
+    if failed.any():
+        agent, check = np.argwhere(failed)[0]
+        raise InvariantViolation(f"{INVARIANTS[check]} at t={t}, agent {agent + 1}")
+
+    rows = {"x_hist": X, "loss": f_x, "g_clipped": g_clip, "direction_norm": omega_norm,
+            "step_norm": step, "dual_norm": _norms(q_new), "A": A, "theta": theta, "B": B, "b": b}
+    return Z_next, rows
 
 
 def run_horizon(T: int, spec: RegressionProblemSpec, schedule: ScheduleParams,
@@ -235,19 +181,15 @@ def run_horizon(T: int, spec: RegressionProblemSpec, schedule: ScheduleParams,
     streams = StreamFactory(spec.seed)
     Z = init_agents(n, box, round_params(schedule, 1).xi, init_rule, streams)
 
-    # trace field -> (RoundRecord field, per-round shape)
-    fields = {
-        "x_hist": ("x", (n, p)), "loss": ("loss", (n,)), "g_clipped": ("g_clipped", (n, m)),
-        "direction_norm": ("direction_norm", (n,)), "step_norm": ("step_norm", (n,)),
-        "dual_norm": ("dual_norm", (n,)), "A": ("A", (n, q, p)), "theta": ("theta", (n, q)),
-        "B": ("B", (n, m, p)), "b": ("b", (n, m)),
-    }
-    hist = {name: np.empty((T - 1, *shape)) for name, (_attr, shape) in fields.items()}
+    per_round = {"x_hist": (n, p), "loss": (n,), "g_clipped": (n, m), "direction_norm": (n,),
+                 "step_norm": (n,), "dual_norm": (n,), "A": (n, q, p), "theta": (n, q),
+                 "B": (n, m, p), "b": (n, m)}
+    hist = {name: np.empty((T - 1, *shape)) for name, shape in per_round.items()}
 
     for t in range(1, T):
-        Z, record = run_round(t, Z, schedule, graph, spec, streams, variant,
-                              box=box, bounds=bounds)
-        for name, (attr, _shape) in fields.items():
-            hist[name][t - 1] = getattr(record, attr)
+        Z, rows = run_round(t, Z, schedule, graph, spec, streams, variant,
+                            box=box, bounds=bounds)
+        for name, row in rows.items():
+            hist[name][t - 1] = row
 
     return RunTrace(problem=spec, **hist)

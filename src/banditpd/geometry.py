@@ -1,4 +1,4 @@
-"""Decision-set geometry: the box decision set, clipping, and projections.
+"""Decision-set geometry: the box decision set, projections, and stacked products.
 
 Everything here is a pure function on float64 arrays. The decision set is an
 axis-aligned box with per-coordinate half-width h, so projections are exact
@@ -37,8 +37,8 @@ class Box:
             raise ValueError("halfwidth must be positive and finite")
 
     def _check_dim(self, v: np.ndarray):
-        if v.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: set is {self.dim}-D, point is {v.shape[0]}-D")
+        if v.shape[-1:] != (self.dim,):
+            raise ValueError(f"dimension mismatch: set is {self.dim}-D, point has shape {v.shape}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,15 @@ class Halfspace:
         return float(self.normal @ as_vector(x) - self.offset)
 
 
-def clip_nonneg(v) -> np.ndarray:
-    """Componentwise max(v, 0)."""
-    return np.maximum(as_vector(v), 0.0)
+def matvec(M, v) -> np.ndarray:
+    """M @ v over the last axes, for any leading (agent) axes: (..., k, p) x (..., p) -> (..., k).
+
+    A dot product is matvec(a[..., None, :], b)[..., 0]. np.matmul on
+    C-contiguous operands makes the same BLAS call for each leading index as a
+    lone M[i] @ v[i], so a row's bits do not depend on how many rows are
+    stacked; a strided operand would fall back to numpy's own loop.
+    """
+    return np.matmul(np.ascontiguousarray(M), np.ascontiguousarray(v)[..., None])[..., 0]
 
 
 def project(box: Box, x) -> np.ndarray:
@@ -72,10 +78,15 @@ def project(box: Box, x) -> np.ndarray:
 
 
 def project_scaled(box: Box, x, shrink: float) -> np.ndarray:
-    """Project onto the box scaled by (1 - shrink); shrink = 1 collapses to the origin."""
+    """Project onto the box scaled by (1 - shrink); shrink = 1 collapses to the origin.
+
+    x is one point or a stack of points (one row per agent); each is clamped.
+    """
     if not (0.0 <= shrink <= 1.0):
         raise ValueError(f"shrink must be in [0, 1], got {shrink}")
-    v = as_vector(x)
+    v = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
     box._check_dim(v)
     half = (1.0 - shrink) * box.halfwidth
     return np.clip(v, -half, half)

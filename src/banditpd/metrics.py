@@ -54,17 +54,6 @@ class MetricSeries:
     def __len__(self) -> int:
         return self.horizons.size
 
-    def at(self, T: int) -> float:
-        idx = int(np.searchsorted(self.horizons, T))
-        if idx >= len(self) or self.horizons[idx] != T:
-            raise KeyError(f"horizon {T} not in series")
-        return float(self.values[idx])
-
-    def select(self, horizons) -> "MetricSeries":
-        """Sub-series at the given horizons; all must be present."""
-        return MetricSeries(np.asarray(horizons, dtype=np.int64),
-                            np.array([self.at(int(T)) for T in horizons]))
-
 
 @dataclass
 class ComparatorResult:

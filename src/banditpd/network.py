@@ -60,13 +60,10 @@ def generate_round_graph(schedule: GraphSchedule, t: int) -> set[tuple[int, int]
     edges: set[tuple[int, int]] = set()
     if schedule.edge_prob > 0.0 and n > 1:
         rng = StreamFactory(schedule.seed).stream(t, PURPOSE_EDGES)
-        draws = rng.uniform(size=n * (n - 1) // 2)
-        idx = 0
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if draws[idx] < schedule.edge_prob:
-                    edges.add((i, j))
-                idx += 1
+        draws = rng.uniform(size=n * (n - 1) // 2)  # one per pair i < j, row by row
+        i, j = np.triu_indices(n, 1)
+        hit = draws < schedule.edge_prob
+        edges = set(zip((i[hit] + 1).tolist(), (j[hit] + 1).tolist()))
     if schedule.backbone:
         edges |= backbone_edges(n, t)
     return edges
@@ -79,10 +76,12 @@ def build_mixing(edges: set[tuple[int, int]], n: int) -> np.ndarray:
     is at least 1/n and the symmetric construction is doubly stochastic.
     """
     W = np.zeros((n, n))
-    for i, j in edges:
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise ValueError(f"edge ({i}, {j}) is not an unordered pair of distinct agents in 1..{n}")
-        W[i - 1, j - 1] = W[j - 1, i - 1] = 1.0 / n
+    i, j = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    bad = (i < 1) | (i > n) | (j < 1) | (j > n) | (i == j)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"edge ({i[k]}, {j[k]}) is not an unordered pair of distinct agents in 1..{n}")
+    W[i - 1, j - 1] = W[j - 1, i - 1] = 1.0 / n
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 

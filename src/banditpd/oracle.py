@@ -68,13 +68,16 @@ def sample_unit_ball(rng: np.random.Generator, p: int) -> np.ndarray:
     return u * rng.uniform() ** (1.0 / p)
 
 
-def estimate_loss_grad(f_x: float, f_probe: float, u: np.ndarray, delta: float,
-                       p: int) -> np.ndarray:
-    """Two-point gradient estimate (p/delta) * (f(x + delta u) - f(x)) * u."""
+def estimate_loss_grad(f_x, f_probe, u: np.ndarray, delta: float, p: int) -> np.ndarray:
+    """Two-point gradient estimate (p/delta) * (f(x + delta u) - f(x)) * u.
+
+    With a leading agent axis (f values (n,), u (n, p)) each row is one
+    agent's estimate.
+    """
     if not delta > 0:
         raise ValueError("probe radius must be positive")
-    scale = (p / delta) * (f_probe - f_x)
-    return scale * u
+    scale = (p / delta) * (np.asarray(f_probe) - f_x)
+    return scale[..., None] * u
 
 
 def estimate_constraint_jacobian(g_x: np.ndarray, g_probe: np.ndarray, u: np.ndarray,
@@ -82,12 +85,13 @@ def estimate_constraint_jacobian(g_x: np.ndarray, g_probe: np.ndarray, u: np.nda
     """Rank-1 Jacobian estimate outer(u, d) with d = (p/delta) * (g(x + delta u) - g(x)).
 
     Column k equals the loss-gradient estimator applied to constraint
-    component k, so the result has shape (p, m).
+    component k, so the result has shape (p, m); with a leading agent axis
+    (g values (n, m), u (n, p)) it is (n, p, m).
     """
     if not delta > 0:
         raise ValueError("probe radius must be positive")
     d = (p / delta) * (g_probe - g_x)
-    return np.outer(u, d)
+    return u[..., :, None] * d[..., None, :]
 
 
 def smoothed_value_mc(f, x, delta: float, n_samples: int, rng: np.random.Generator) -> float:

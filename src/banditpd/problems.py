@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import matvec
 from .oracle import PURPOSE_PROBLEM, ProblemBounds, StreamFactory
 
 # Gaussian noise entries are clipped to this band so the uniform loss bound F
@@ -52,7 +53,8 @@ class RegressionProblemSpec:
 
 @dataclass(frozen=True)
 class ProblemInstanceAt:
-    """Realized parameters for one (agent, round) pair."""
+    """Realized parameters for one (agent, round) pair, or for every agent of
+    a round stacked along a leading agent axis."""
 
     A: np.ndarray
     theta: np.ndarray
@@ -96,22 +98,24 @@ def materialize_round(spec: RegressionProblemSpec, t: int):
     return A, theta, B, b
 
 
-def eval_loss(inst: ProblemInstanceAt, x) -> float:
+def eval_loss(inst: ProblemInstanceAt, x):
+    """f(x), or one value per agent when inst's arrays and x are stacked by agent."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != inst.A.shape[1]:
+    if x.shape[-1] != inst.A.shape[-1]:
         raise ValueError("dimension mismatch in eval_loss")
-    r = inst.A @ x - inst.theta
-    value = 0.5 * float(r @ r)
+    r = matvec(inst.A, x) - inst.theta
+    value = 0.5 * matvec(r[..., None, :], r)[..., 0]
     if inst.mu_reg:
-        value += 0.5 * inst.mu_reg * float(x @ x)
+        value = value + 0.5 * inst.mu_reg * matvec(x[..., None, :], x)[..., 0]
     return value
 
 
 def eval_constraint(inst: ProblemInstanceAt, x) -> np.ndarray:
+    """g(x) = B x - b, or one row per agent when inst's arrays and x are stacked by agent."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != inst.B.shape[1]:
+    if x.shape[-1] != inst.B.shape[-1]:
         raise ValueError("dimension mismatch in eval_constraint")
-    return inst.B @ x - inst.b
+    return matvec(inst.B, x) - inst.b
 
 
 def compute_bounds(spec: RegressionProblemSpec) -> ProblemBounds:

@@ -1,30 +1,36 @@
 """The benchmark's traced run wraps package functions by the names its callers
 look them up by (perfbench/child.py, TRACED). A rename or a changed lookup
-must fail here, not later inside a traced benchmark run."""
+must fail here, not later inside a traced benchmark run. The benchmark's
+checks computed apart from the program (perfbench/checks.py) run here too,
+on a short CLI run of every preset."""
 
 import importlib.util
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from banditpd import cli
-from banditpd.engine import run_horizon
+from banditpd.engine import TRACE_ARRAYS, run_horizon
 from banditpd.network import GraphSchedule
 from banditpd.problems import RegressionProblemSpec
 from banditpd.schedule import ScheduleParams
 
-CHILD_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # defines TRACED and helpers; main() is not run
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
+    spec.loader.exec_module(module)  # defines names only; no main() is run
     return module
 
 
-CHILD = load_child()
+CHILD = load_perfbench("child")
+CHECKS = load_perfbench("checks")
 
 
 @pytest.mark.parametrize("owner_path, attr, span", CHILD.TRACED,
@@ -51,7 +57,7 @@ def test_wrapped_names_see_every_call(tmp_path, monkeypatch):
     assert calls["network.generate_round_graph"] == rounds
     assert calls["network.build_mixing"] == rounds
     assert calls["oracle.sample_unit_sphere"] == n * rounds
-    assert calls["geometry.project_scaled"] == n * rounds
+    assert calls["geometry.project_scaled"] == rounds  # once per round, on all agents' rows
     # drawn once, by the engine; the metrics pass reads the trace
     assert calls["problems.materialize"] == n * rounds
 
@@ -64,3 +70,28 @@ def test_child_digest_matches_run_trace_digest():
         GraphSchedule(n=3, edge_prob=0.5, backbone=True, seed=4))
     assert trace.rounds == 11 and np.any(trace.x_hist != 0.0)
     assert CHILD.trace_digest(trace) == trace.digest()
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_independent_checks_pass_on_each_preset(tmp_path, monkeypatch, preset):
+    # The CLI outputs of two seeds, and the trace arrays run_horizon returned
+    # for them, against perfbench's recomputation from the round data.
+    horizon, seeds = (100 if preset == "paper-sec4" else 200), [101, 102]
+    traces = {}
+    real_run_horizon = cli.run_horizon
+
+    def keeping_run_horizon(T, spec, *args, **kwargs):
+        trace = real_run_horizon(T, spec, *args, **kwargs)
+        traces[spec.seed] = {name: getattr(trace, name) for name in TRACE_ARRAYS}
+        return trace
+
+    monkeypatch.setattr(cli, "run_horizon", keeping_run_horizon)
+    out = tmp_path / "out"
+    assert cli.main(["--preset", preset, "--horizon", str(horizon), "--seed-list", "101,102",
+                     "--out", str(out)]) == cli.EXIT_OK
+    regret = cli.parse_config(preset=preset).values["run"]["regret"]
+    failures = CHECKS.RunChecker().check(
+        out, seeds, horizon, regret, traces=traces,
+        sample_rounds=CHECKS.sample_round_list(random.Random(0), horizon - 1))
+    assert sorted(traces) == seeds
+    assert not failures, [str(f) for f in failures]

@@ -170,13 +170,18 @@ class TestParse:
         ("desk-convex-c05", {"problem": {"halfwidth": float("inf")}}, "problem.halfwidth"),
         # finite, but the analytic bounds overflow
         ("desk-convex-c05", {"problem": {"halfwidth": 1e308}}, "problem"),
-        # 1000.0 ** 2000 overflows when the last round's step size is formed
+        # rejected by sign; 1000.0 ** 2000 would also overflow at the last round
         ("paper-sec4", {"schedule": {"overrides": {"alpha_exponent": -2000}}},
          "schedule.overrides"),
         # the loss bound F overflows; G1 and G2 stay finite
         ("desk-convex-c05", {"problem": {"halfwidth": 1e200}}, "problem.halfwidth"),
         # the ridge term alone overflows G1 and F
         ("desk-strongly-convex-t4", {"problem": {"mu_reg": 1e308}}, "problem.mu_reg"),
+        # a growing xi passes the round check, but the run would stop at t=12
+        # with a step-bound violation
+        ("paper-sec4", {"schedule": {"overrides": {"alpha_scale": 0.5, "alpha_exponent": -0.5,
+                                                   "xi_scale": 0.1, "delta_scale": 0.01}},
+                        "run": {"horizon": 99}}, "schedule.overrides.alpha_exponent"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, preset, override, path):
         cfg_path = tmp_path / "cfg.json"
@@ -199,13 +204,12 @@ class TestParse:
         assert code == EXIT_CONFIG
         assert "schedule.overrides" in capsys.readouterr().err
         assert not out.exists()
-        # growing sequences: delta = 0.01 t first exceeds r_X xi = 5 at t = 501
-        growing = {"schedule": {"overrides": {"alpha_exponent": -1.0}},
-                   "run": {"horizon": 500}}
-        assert parse_config(preset="paper-sec4", overrides=growing).horizon == 500
-        growing["run"]["horizon"] = 501
-        with pytest.raises(ConfigError, match=r"schedule\.overrides: .*round 501"):
-            parse_config(preset="paper-sec4", overrides=growing)
+        # a steep decay: delta = 0.01 t^-200 first underflows to 0 at t = 41
+        steep = {"schedule": {"overrides": {"alpha_exponent": 200}}, "run": {"horizon": 40}}
+        assert parse_config(preset="paper-sec4", overrides=steep).horizon == 40
+        steep["run"]["horizon"] = 41
+        with pytest.raises(ConfigError, match=r"schedule\.overrides: .*round 41"):
+            parse_config(preset="paper-sec4", overrides=steep)
 
 
 class TestMainFlags:

@@ -1,12 +1,14 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from banditpd.engine import (
+    VARIANTS,
     InvariantViolation,
-    assemble_direction,
-    consensus_step,
     init_agents,
     run_horizon,
     run_round,
@@ -21,7 +23,8 @@ from banditpd.problems import (
     eval_constraint,
     materialize,
 )
-from banditpd.schedule import ScheduleParams, round_params
+from banditpd.schedule import ScheduleOverrides, ScheduleParams, round_params
+from oracles import per_agent_round as oracle  # tests/oracles, the earlier per-agent round
 
 TINY_BOUNDS = ProblemBounds(F=1e-12, G1=1e-12, G2=1e-12)
 
@@ -40,17 +43,33 @@ def small_run(T, seed=7, n=4, p=3, variant="paper"):
     return run_horizon(T, *small_setup(seed, n, p), variant=variant)
 
 
+def round_inputs(seed=7, n=4, p=3):
+    """(spec, schedule, graph, box, bounds, Z_1): what run_round needs for round 1."""
+    spec, sched, graph = small_setup(seed, n, p)
+    box = Box(dim=spec.p, halfwidth=spec.halfwidth)
+    Z = init_agents(spec.n, box, round_params(sched, 1).xi)
+    return spec, sched, graph, box, compute_bounds(spec), Z
+
+
 class TestPieces:
     def test_consensus_is_weighted_average(self):
-        Z = np.array([[4.0, 0.0], [2.0, 2.0]])
-        W = np.full((2, 2), 0.5)
-        X = consensus_step(Z, W)
-        assert np.allclose(X, [[3.0, 1.0], [3.0, 1.0]])
-        assert np.array_equal(Z, [[4.0, 0.0], [2.0, 2.0]])  # the input state is not touched
+        # x_{i,t} = sum_j W_ij z_j with the round's mixing matrix; the input
+        # state is not touched.
+        spec, sched, graph, box, bounds, Z = round_inputs()
+        Z = np.random.default_rng(0).uniform(-1.0, 1.0, size=Z.shape)
+        before = Z.copy()
+        _Z_next, rows = run_round(4, Z, sched, graph, spec, StreamFactory(spec.seed),
+                                  box=box, bounds=bounds)
+        W = build_mixing(generate_round_graph(graph, 4), spec.n)
+        assert np.allclose(rows["x_hist"], W @ before, rtol=0.0, atol=1e-15)
+        assert np.array_equal(Z, before)
 
     def test_consensus_rejects_wrong_matrix_shape(self):
+        # the state must have one row per agent of the spec
+        spec, sched, graph, box, bounds, Z = round_inputs()
         with pytest.raises(ValueError):
-            consensus_step(np.zeros((1, 2)), np.eye(2))
+            run_round(1, Z[:-1], sched, graph, spec, StreamFactory(spec.seed),
+                      box=box, bounds=bounds)
 
     def test_dual_update_clips_then_scales(self):
         # q_{i,t} = gamma_t * max(g_{i,t}(x_{i,t}), 0): the recorded clipped values
@@ -66,16 +85,6 @@ class TestPieces:
             for i in range(spec.n):
                 g = eval_constraint(materialize(spec, i + 1, t), trace.x_hist[k, i])
                 assert np.allclose(trace.g_clipped[k, i], np.maximum(g, 0.0), rtol=1e-12, atol=1e-12)
-
-    def test_direction_combines_gradient_and_jacobian(self):
-        grad = np.array([1.0, 2.0])
-        jac = np.array([[1.0, 0.0], [0.0, 2.0]])
-        q = np.array([3.0, 0.5])
-        assert np.allclose(assemble_direction(grad, jac, q), [4.0, 3.0])
-
-    def test_direction_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_direction(np.zeros(2), np.zeros((3, 1)), np.zeros(1))
 
     def test_primal_step_projects_onto_shrunk_box(self):
         # x_{t+1} = W_{t+1} z_{t+1}, so wherever W_{t+1} is invertible the primal
@@ -152,19 +161,14 @@ class TestRunHorizon:
 
     def test_run_round_chains_into_run_horizon(self):
         # run_horizon is run_round applied to the (n, p) primal state, round by round.
-        spec, sched, graph = small_setup()
-        box = Box(dim=spec.p, halfwidth=spec.halfwidth)
+        spec, sched, graph, box, bounds, Z = round_inputs()
         streams = StreamFactory(spec.seed)
-        Z = init_agents(spec.n, box, round_params(sched, 1).xi)
         trace = small_run(5)
         for t in range(1, 5):
-            Z, rec = run_round(t, Z, sched, graph, spec, streams,
-                               box=box, bounds=compute_bounds(spec))
-            assert rec.t == t and Z.shape == (spec.n, spec.p)
-            assert np.array_equal(rec.x, trace.x_hist[t - 1])
-            assert np.array_equal(rec.step_norm, trace.step_norm[t - 1])
-            assert np.array_equal(rec.dual_norm, trace.dual_norm[t - 1])
-            assert np.array_equal(rec.B, trace.B[t - 1])
+            Z, rows = run_round(t, Z, sched, graph, spec, streams, box=box, bounds=bounds)
+            assert Z.shape == (spec.n, spec.p)
+            for name, row in rows.items():
+                assert np.array_equal(row, getattr(trace, name)[t - 1]), name
 
     def test_trace_records_each_rounds_problem_data(self):
         # The engine draws each round once and keeps the draw; every entry is
@@ -245,9 +249,7 @@ class TestInvariantEnforcement:
             small_run(50)
         failed_at = int(re.search(r"at t=(\d+),", str(info.value)).group(1))
         assert 1 <= failed_at < 49
-        spec, sched, graph = small_setup()
-        box = Box(dim=spec.p, halfwidth=spec.halfwidth)
-        Z = init_agents(spec.n, box, round_params(sched, 1).xi)
+        spec, sched, graph, box, _bounds, Z = round_inputs()
         with pytest.raises(InvariantViolation, match="displacement bound failed at t=1,"):
             run_round(1, Z, sched, graph, spec, StreamFactory(spec.seed),
                       box=box, bounds=TINY_BOUNDS)
@@ -267,3 +269,104 @@ class TestInvariantEnforcement:
         monkeypatch.setattr(engine, "materialize_round", corrupted)
         with pytest.raises(ValueError, match="non-finite feedback at t=3, agent 2"):
             small_run(10)
+
+
+# RunTrace field -> the oracle's RoundRecord field
+ORACLE_FIELDS = {"x_hist": "x", "loss": "loss", "g_clipped": "g_clipped",
+                 "direction_norm": "direction_norm", "step_norm": "step_norm",
+                 "dual_norm": "dual_norm", "A": "A", "theta": "theta", "B": "B", "b": "b"}
+
+ORACLE_HALFWIDTH = 2.0
+SCHEDULES = {
+    "theorem1": ScheduleParams(mode="theorem1", gamma0=2.0, c=0.5, r_X=ORACLE_HALFWIDTH,
+                               theorem_compliant=False),
+    "theorem4": ScheduleParams(mode="theorem4", gamma0=0.5, mu=0.8, r_X=ORACLE_HALFWIDTH,
+                               theorem_compliant=False),
+    "custom": ScheduleParams(
+        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH, theorem_compliant=False,
+        overrides=ScheduleOverrides(alpha_scale=0.5, alpha_exponent=0.5, xi_scale=0.5,
+                                    delta_scale=0.1)),
+    # steps far shorter than a clamp onto the shrunk set: trips the step bound
+    "custom-tiny-alpha": ScheduleParams(
+        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH, theorem_compliant=False,
+        overrides=ScheduleOverrides(alpha_scale=1e-12, alpha_exponent=0.5, xi_scale=0.5,
+                                    delta_scale=0.1)),
+}
+
+
+def outcome(round_fn, t, Z, sched, graph, spec, bounds, variant):
+    """("ok", Z_next, rows) or ("error", type, message) of one round."""
+    try:
+        Z_next, rows = round_fn(t, Z, sched, graph, spec, StreamFactory(spec.seed), variant,
+                                box=Box(dim=spec.p, halfwidth=spec.halfwidth), bounds=bounds)
+    except (InvariantViolation, ValueError) as exc:
+        return "error", type(exc), str(exc)
+    if not isinstance(rows, dict):  # the oracle's RoundRecord
+        rows = {name: getattr(rows, attr) for name, attr in ORACLE_FIELDS.items()}
+    return "ok", Z_next, rows
+
+
+class TestPerAgentOracle:
+    """The array-shaped round equals the earlier per-agent round bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), p=st.integers(1, 5), q=st.integers(1, 3), m=st.integers(1, 3),
+           schedule=st.sampled_from(sorted(SCHEDULES)), variant=st.sampled_from(VARIANTS),
+           mu_reg=st.sampled_from([0.0, 0.7]), edge_prob=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**16), t0=st.integers(1, 40),
+           spread=st.sampled_from([0.5, 1.0, 1.0, 1.5]),
+           understate=st.sampled_from([1.0, 1.0, 1.0, 1e-6]),
+           corrupt=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["A", "theta", "B", "b"]), st.integers(0, 3), st.integers(0, 19),
+               st.sampled_from([np.nan, np.inf, -np.inf]))))
+    @example(n=1, p=1, q=1, m=1, schedule="theorem1", variant="paper", mu_reg=0.0, edge_prob=0.0,
+             seed=1, t0=1, spread=1.0, understate=1.0, corrupt=None)
+    @example(n=4, p=5, q=3, m=3, schedule="theorem4", variant="clipped-primal", mu_reg=0.7,
+             edge_prob=0.5, seed=2, t0=3, spread=1.0, understate=1.0, corrupt=None)
+    @example(n=3, p=2, q=2, m=1, schedule="custom", variant="paper", mu_reg=0.0, edge_prob=1.0,
+             seed=3, t0=5, spread=1.0, understate=1e-6, corrupt=None)
+    @example(n=4, p=2, q=1, m=2, schedule="theorem1", variant="clipped-primal", mu_reg=0.0,
+             edge_prob=0.5, seed=4, t0=2, spread=1.0, understate=1.0,
+             corrupt=("b", 2, 3, np.inf))
+    @example(n=3, p=2, q=1, m=1, schedule="custom-tiny-alpha", variant="paper", mu_reg=0.0,
+             edge_prob=0.0, seed=1, t0=1, spread=1.5, understate=1.0, corrupt=None)
+    def test_rounds_match_the_per_agent_oracle(self, n, p, q, m, schedule, variant, mu_reg,
+                                               edge_prob, seed, t0, spread, understate, corrupt):
+        # About 20 rounds from a random state; spread > 1 can put consensus points
+        # or probes outside the set or trip the step bound, understated bounds
+        # trip the displacement check, and a corrupted entry makes the feedback
+        # non-finite. Either both rounds raise the same error or every output
+        # row is equal.
+        spec = RegressionProblemSpec(n=n, p=p, q_i=q, m_i=m, halfwidth=ORACLE_HALFWIDTH,
+                                     b_offset=0.05, seed=seed, mu_reg=mu_reg)
+        sched = SCHEDULES[schedule]
+        graph = GraphSchedule(n=n, edge_prob=edge_prob, backbone=True, seed=seed)
+        b0 = compute_bounds(spec)
+        bounds = ProblemBounds(F=b0.F, G1=b0.G1 * understate, G2=b0.G2 * understate)
+        half = (1.0 - round_params(sched, t0).xi) * spec.halfwidth
+        Z = np.random.default_rng(seed).uniform(-half, half, size=(n, p)) * spread
+
+        real = engine.materialize_round
+
+        def draws(spec, t):
+            A, theta, B, b = real(spec, t)
+            if corrupt is not None and corrupt[1] < n and t == t0 + corrupt[2]:
+                field, agent, _k, value = corrupt
+                entry = {"A": A, "theta": theta, "B": B, "b": b}[field][agent]
+                entry.reshape(-1)[-1] = value
+            return A, theta, B, b
+
+        with mock.patch.object(engine, "materialize_round", draws), \
+                mock.patch.object(oracle, "materialize_round", draws), \
+                np.errstate(invalid="ignore"):  # inf * 0 in a corrupted product
+            for t in range(t0, t0 + 20):
+                new = outcome(run_round, t, Z, sched, graph, spec, bounds, variant)
+                old = outcome(oracle.run_round, t, Z, sched, graph, spec, bounds, variant)
+                if old[0] == "error":
+                    assert new == old
+                    return
+                assert new[0] == "ok", new
+                assert np.array_equal(new[1], old[1])
+                for name in ORACLE_FIELDS:
+                    assert np.array_equal(new[2][name], old[2][name]), (name, t)
+                Z = new[1]

@@ -7,7 +7,6 @@ from banditpd.geometry import (
     Box,
     Halfspace,
     as_vector,
-    clip_nonneg,
     project,
     project_halfspace,
     project_intersection,
@@ -66,10 +65,6 @@ def test_halfspace_zero_normal_rejected():
         Halfspace(normal=[0.0, 0.0], offset=1.0)
 
 
-def test_clip_nonneg():
-    assert np.array_equal(clip_nonneg([-1.0, 0.0, 2.5]), [0.0, 0.0, 2.5])
-
-
 def test_intersection_box_and_one_halfspace():
     # Box [-5,5]^2 with {x1 <= 0}: projection of (2, 2) lands at (0, 2).
     point, converged = project_intersection([2.0, 2.0], BOX5,
@@ -116,12 +111,6 @@ def test_projection_nonexpansive(a, b):
 def test_scaled_projection_lands_inside(point, shrink):
     out = project_scaled(BOX5, point, shrink)
     assert np.all(np.abs(out) <= (1.0 - shrink) * BOX5.halfwidth + 1e-12)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5))
-def test_clip_identity_on_nonnegative(values):
-    arr = np.asarray(values)
-    assert np.array_equal(clip_nonneg(arr), arr)
 
 
 @settings(max_examples=25)

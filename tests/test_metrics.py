@@ -58,18 +58,6 @@ class TestMetricSeries:
     def test_at_and_len(self):
         s = MetricSeries(np.array([1, 5, 9]), np.array([2.0, 4.0, 8.0]))
         assert len(s) == 3
-        assert s.at(5) == 4.0
-
-    def test_at_missing_horizon(self):
-        s = MetricSeries(np.array([1, 5]), np.array([2.0, 4.0]))
-        with pytest.raises(KeyError):
-            s.at(3)
-
-    def test_select_subsets(self):
-        s = MetricSeries(np.array([1, 2, 3, 4]), np.array([1.0, 2.0, 3.0, 4.0]))
-        sub = s.select([2, 4])
-        assert np.array_equal(sub.horizons, [2, 4])
-        assert np.array_equal(sub.values, [2.0, 4.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from oracles import per_agent_round as oracle
 
 from banditpd.network import (
     GraphSchedule,
@@ -144,3 +147,23 @@ class TestJointConnectivity:
 
     def test_single_agent_trivially_connected(self):
         assert validate_joint_connectivity([set(), set()], B=1, n=1)
+
+
+class TestAgainstPairLoops:
+    """Graph generation and mixing match the earlier pair-by-pair loops."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 31])
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.3, 1.0])
+    def test_same_edges_and_weights(self, n, edge_prob):
+        sched = GraphSchedule(n=n, edge_prob=edge_prob, backbone=n % 2 == 1, seed=n)
+        for t in range(1, 13):
+            edges = generate_round_graph(sched, t)
+            assert edges == oracle.generate_round_graph(sched, t)
+            assert np.array_equal(build_mixing(edges, n), oracle.build_mixing(edges, n))
+
+    @pytest.mark.parametrize("edges", [{(1, 2), (0, 3)}, {(1, 2), (3, 3), (2, 5)}, {(2, 1), (1, 5)}])
+    def test_same_bad_edge_error(self, edges):
+        with pytest.raises(ValueError) as old:
+            oracle.build_mixing(edges, 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(old.value))}$"):
+            build_mixing(edges, 4)

@@ -159,3 +159,20 @@ def test_smoothed_value_sandwich_quadratic():
     g1 = 2.0 * (np.linalg.norm(x) + delta)
     assert val >= f(x) - 1e-4
     assert val <= f(x) + g1 * delta + 1e-4
+
+
+def test_estimators_take_a_leading_agent_axis():
+    # Row i of the stacked estimates is agent i's own estimate, bit for bit.
+    rng = np.random.default_rng(4)
+    n, p, m, delta = 4, 3, 2, 0.1
+    f_x, f_probe = rng.standard_normal(n), rng.standard_normal(n)
+    g_x, g_probe = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    u = rng.standard_normal((n, p))
+    grads = estimate_loss_grad(f_x, f_probe, u, delta, p)
+    jacs = estimate_constraint_jacobian(g_x, g_probe, u, delta, p)
+    assert grads.shape == (n, p) and jacs.shape == (n, p, m)
+    for i in range(n):
+        assert np.array_equal(grads[i], estimate_loss_grad(float(f_x[i]), float(f_probe[i]),
+                                                           u[i], delta, p))
+        assert np.array_equal(jacs[i], estimate_constraint_jacobian(g_x[i], g_probe[i], u[i],
+                                                                    delta, p))

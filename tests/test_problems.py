@@ -3,6 +3,7 @@ import pytest
 
 from banditpd.oracle import PURPOSE_PROBLEM, StreamFactory
 from banditpd.problems import (
+    ProblemInstanceAt,
     RegressionProblemSpec,
     compute_bounds,
     eval_constraint,
@@ -68,6 +69,20 @@ def test_materialize_round_matches_per_agent():
         assert np.array_equal(theta[i - 1], inst.theta)
         assert np.array_equal(B[i - 1], inst.B)
         assert np.array_equal(b[i - 1], inst.b)
+
+
+def test_stacked_evaluation_matches_per_agent():
+    # The engine evaluates every agent of a round at once; each row has the
+    # bits of that agent's own evaluation.
+    spec = RegressionProblemSpec(n=5, p=3, q_i=2, m_i=2, halfwidth=5.0,
+                                 b_offset=0.01, seed=8, mu_reg=0.3)
+    X = np.random.default_rng(2).uniform(-5.0, 5.0, size=(spec.n, spec.p))
+    stacked = ProblemInstanceAt(*materialize_round(spec, 6), mu_reg=spec.mu_reg)
+    losses, values = eval_loss(stacked, X), eval_constraint(stacked, X)
+    for i in range(spec.n):
+        inst = materialize(spec, i + 1, 6)
+        assert losses[i] == eval_loss(inst, X[i])
+        assert np.array_equal(values[i], eval_constraint(inst, X[i]))
 
 
 def test_index_validation():
