@@ -157,8 +157,6 @@ CONFIG_KEYS = (
     ("run", "init_rule", str, "zeros", _one_of(("zeros", "uniform"))),
     ("run", "comparator", dict, {}, None),
     ("run.comparator", "tol", float, ComparatorOptions.tol, (lambda v: v > 0, "must be > 0")),
-    ("run.comparator", "max_iter", int, ComparatorOptions.max_iter,
-     (lambda v: v >= 1, "must be >= 1")),
 )
 
 _ROWS: dict[str, dict[str, tuple]] = {}
@@ -369,6 +367,8 @@ def simulate(config: ExperimentConfig, seed: int) -> dict:
             "converged": comp.converged,
             "objective": comp.objective,
             "max_violation": comp.max_violation,
+            "refinements": comp.refinements,
+            "working_rows": comp.working_rows,
             "x_star": [float(v) for v in comp.x_star],
         }
         if not comp.converged:

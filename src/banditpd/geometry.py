@@ -2,8 +2,9 @@
 
 Everything here is a pure function on float64 arrays. The decision set is an
 axis-aligned box with per-coordinate half-width h, so projections are exact
-clamps; the halfspace and intersection projections exist for the offline
-comparator, whose feasible region is the box cut by pooled linear constraints.
+clamps. Halfspace, project_halfspace and project_intersection (Dykstra) are on
+no run's path; they stay because perfbench/child.py:TRACED looks up
+metrics.project_intersection by name.
 """
 
 from __future__ import annotations

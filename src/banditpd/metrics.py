@@ -7,6 +7,11 @@ every agent's consensus point (the network metrics are defined that way). The
 pass also forms the per-round quadratic coefficients of the averaged loss and
 views the pooled constraint halfspaces, which is exactly what the offline
 comparator needs, so it runs once and everything downstream reuses it.
+
+The offline comparator is one exact method: a working-set solve by NNLS
+least-distance programming (Lawson & Hanson 1974, ch. 23), certified by the
+solve itself when the summed loss matrix is positive definite and by the KKT
+conditions of proximal-point steps when it is singular.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .geometry import Box, Halfspace, project_intersection
+from .geometry import Box
+from .geometry import project_intersection  # noqa: F401  looked up by perfbench/child.py:TRACED
 from .problems import RegressionProblemSpec
 
 ENVELOPE_IDS = (
@@ -25,13 +31,10 @@ ENVELOPE_IDS = (
     "T4-reg", "T4-ccv", "T4-ccv-slater",
 )
 
-# Comparator internals: Dykstra tolerance and sweep cap per projection, the
-# refinement cap of each constraint-generation loop, and the slack beyond
-# which a working row is retired.
-PROJ_TOL = 1e-12
-PROJ_MAX_ITER = 200_000
+# Comparator internals: the cap on exact working-set solves per call, and the
+# proximal weight, relative to trace(P), of the singular-P path.
 MAX_REFINEMENTS = 128
-DROP_SLACK = 1e-3
+PROX_WEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,13 @@ class ComparatorResult:
     objective: float
     converged: bool
     max_violation: float
+    refinements: int
+    working_rows: int
 
 
 @dataclass
 class ComparatorOptions:
     tol: float = 1e-6
-    max_iter: int = 100_000
 
 
 @dataclass
@@ -153,7 +157,12 @@ def comparator_loss_series(ev: TraceEvaluation, x_star: np.ndarray) -> np.ndarra
 
 
 def network_regret(ev: TraceEvaluation, comparator: ComparatorResult) -> MetricSeries:
-    """Running sum of the averaged loss gap to the fixed comparator point."""
+    """Running sum of the averaged loss gap to the fixed comparator point.
+
+    Every checkpoint T' is scored against the x* of all rounds 1..T-1, which
+    is feasible for rounds 1..T', so at T' < T-1 the value is a lower bound on
+    the paper's Net-Reg(T'), whose comparator is the best point of 1..T'.
+    """
     _require_nonempty(ev)
     if not comparator.converged:
         raise ValueError("comparator did not converge; regret undefined")
@@ -191,27 +200,19 @@ def _least_distance(G, h):
     return -resid[:dim] / resid[-1]
 
 
-def _solve_working_set(P, r, normals, offsets, working):
-    """Exact minimum of x'Px/2 - r'x subject to the working rows alone.
+def _solve_working_set(L, L_inv_t, x_free, normals, offsets, working):
+    """Exact minimum of x'Hx/2 - (H x_free)'x subject to the working rows alone,
+    where L is the Cholesky factor of H and L_inv_t = inv(L)'.
 
-    A Cholesky factor of P turns the subproblem into a least-distance
-    problem centered on the unconstrained minimizer. The y coordinates are
-    scaled so the answer has norm near one: the recovery in _least_distance
-    divides by a residual of size 1/(1 + |y*|^2), so an unscaled far-away
-    solution loses exactly the digits the certificate needs. The scale uses
-    the origin as anchor, a strictly feasible point for every generated
-    problem. Requires P positive definite; returns None when factorization
-    fails or the working rows are numerically infeasible.
+    The factor turns the subproblem into a least-distance problem centered on
+    the unconstrained minimizer x_free. The y coordinates are scaled so the
+    answer has norm near one: the recovery in _least_distance divides by a
+    residual of size 1/(1 + |y*|^2), so an unscaled far-away solution loses
+    exactly the digits the certificate needs. The scale uses the origin as
+    anchor, a strictly feasible point for every generated problem. Returns
+    None when the working rows are numerically infeasible.
     """
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        return None
-    x_free = np.linalg.solve(P, r)
-    if not working:
-        return x_free
     A = normals[working]
-    L_inv_t = np.linalg.inv(L).T
     sigma = 1.0 + float(np.linalg.norm(L.T @ x_free))
     y = _least_distance(-(A @ L_inv_t) * sigma, A @ x_free - offsets[working])
     if y is None:
@@ -219,23 +220,36 @@ def _solve_working_set(P, r, normals, offsets, working):
     return L_inv_t @ (sigma * y) + x_free
 
 
+def _kkt_residual(P, r, x, normals, offsets, tol) -> float:
+    """|P x - r + G'lam| for the NNLS multipliers lam >= 0 on the rows G that
+    are active at x to within tol."""
+    grad = P @ x - r
+    G = normals[offsets - normals @ x <= tol]
+    lam = nnls(G.T, -grad)[0] if G.shape[0] else np.zeros(0)
+    return float(np.linalg.norm(grad + G.T @ lam))
+
+
 def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
                                      opts: ComparatorOptions | None = None) -> ComparatorResult:
     """Minimize x'Px/2 - r'x + const over box ∩ {normals @ x <= offsets}.
 
-    Projected gradient descent with constraint generation. Descent iterates
-    project (via project_intersection) onto the box plus a small working set
-    of halfspaces; after each descent the candidate is checked against the
-    full pool, the worst violated row joins the working set, and rows slack
-    by a wide margin leave it. The descent stops when the full pool is
-    satisfied to tol and the gradient-mapping norm, measured relative to the
-    gradient scale (1 + |grad|), is at most tol.
+    Exact working-set method with constraint generation. The 2p box faces
+    join the pool as rows and start the working set; each refinement solves
+    the program on the working rows alone, exactly, by least-distance NNLS,
+    and up to eight of the worst pool rows its answer violates join the set.
+    An exact minimizer over a row subset that meets every row to tol is the
+    minimizer over the pool: the certificate when P is positive definite.
 
-    Alternating projections converge too slowly to certify when the binding
-    rows are nearly parallel, so a second constraint-generation loop then
-    solves the working-set subproblem exactly (least-distance via NNLS). An
-    exact solution of a row subset that satisfies the whole pool is the
-    global optimum, so that path certifies convergence on its own.
+    A singular P (no ridge term and fewer loss rows than dimensions; a
+    Cholesky pivot squared at most PROX_WEIGHT * trace(P)) makes each answer
+    that meets the pool a proximal-point step, the minimizer of the program
+    plus rho/2 |x - x_prev|^2 with rho = PROX_WEIGHT * trace(P) and x_prev the
+    last step (first the origin). A step is certified when NNLS multipliers on
+    the rows active to within tol cancel P x - r to tol * (|P x| + |r|).
+
+    converged means certified and max_violation <= tol; refinements counts
+    the exact solves (at most MAX_REFINEMENTS), working_rows the final
+    working-set size, box faces included.
     """
     opts = opts or ComparatorOptions()
     P = np.asarray(P, dtype=np.float64)
@@ -245,72 +259,53 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
     if normals.shape[0] != offsets.shape[0]:
         raise ValueError("normals and offsets disagree on row count")
 
-    lam_max = float(np.linalg.eigvalsh(P)[-1]) if P.size else 0.0
-    eta = 1.0 / lam_max if lam_max > 0 else 1.0
-
-    def descend(x, active):
-        sets = [Halfspace(normals[j], float(offsets[j])) for j in active]
-        gm, proj_ok = math.inf, True
-        for _it in range(opts.max_iter):
-            grad = P @ x - r
-            target = x - eta * grad
-            x_next, proj_ok = project_intersection(
-                target, box, sets, tol=PROJ_TOL, max_iter=PROJ_MAX_ITER)
-            moved = float(np.linalg.norm(x_next - x))
-            gm = moved / (eta * (1.0 + float(np.linalg.norm(grad))))
-            x = x_next
-            if proj_ok and gm <= opts.tol:
-                break
-            if moved <= 1e-16 * (1.0 + float(np.linalg.norm(x))):
-                break  # stalled at float resolution
-        return x, gm, proj_ok
-
-    active: list[int] = []
-    x = np.zeros(box.dim)
-    gm = math.inf
-    proj_ok = True
-    for _refinement in range(MAX_REFINEMENTS):
-        x, gm, proj_ok = descend(x, active)
-        if normals.shape[0] == 0:
-            break
-        violation = normals @ x - offsets
-        worst_idx = int(np.argmax(violation))
-        if violation[worst_idx] <= opts.tol:
-            break
-        # Retire rows that are now slack by a wide margin; the worst row of a
-        # later refinement re-enters if it ever binds again.
-        active = [j for j in active if violation[j] > -DROP_SLACK]
-        if worst_idx in active:
-            break  # projection cannot enforce it any further
-        active.append(worst_idx)
-
-    # Exact phase: the box faces join the pool as ordinary rows, and the
-    # working set grows from whatever the descent phase found binding.
     eye = np.eye(box.dim)
     ext_normals = np.vstack([normals, eye, -eye])
     ext_offsets = np.concatenate([offsets, np.full(2 * box.dim, box.halfwidth)])
-    working = sorted(set(active) | set(range(normals.shape[0], ext_normals.shape[0])))
+    working = list(range(normals.shape[0], ext_normals.shape[0]))
+
+    # One factorization per call, of H = P, or of P + rho*I when P is singular.
+    rho, H = 0.0, P
+    try:
+        L = np.linalg.cholesky(P)
+        singular = float(np.diag(L).min()) ** 2 <= PROX_WEIGHT * float(np.trace(P))
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        rho = PROX_WEIGHT * (float(np.trace(P)) or 1.0)
+        H = P + rho * eye
+        L = np.linalg.cholesky(H)
+    L_inv_t = np.linalg.inv(L).T
+
+    x = np.zeros(box.dim)
+    x_free = np.linalg.solve(H, r)
     certified = False
-    for _refinement in range(MAX_REFINEMENTS):
-        cand = _solve_working_set(P, r, ext_normals, ext_offsets, working)
+    refinements = 0
+    while not certified and refinements < MAX_REFINEMENTS:
+        refinements += 1
+        cand = _solve_working_set(L, L_inv_t, x_free, ext_normals, ext_offsets, working)
         if cand is None:
             break
         violation = ext_normals @ cand - ext_offsets
-        if float(violation.max()) <= opts.tol:
-            x, certified = cand, True
-            break
-        ranked = np.argsort(violation)[::-1][:8]
-        fresh = [int(j) for j in ranked
-                 if violation[j] > opts.tol and int(j) not in set(working)]
-        if not fresh:
-            break  # exact solve cannot satisfy its own rows; give up honestly
-        working.extend(fresh)
+        if float(violation.max()) > opts.tol:
+            fresh = [int(j) for j in np.argsort(violation)[::-1][:8]
+                     if violation[j] > opts.tol and int(j) not in working]
+            if not fresh:
+                break  # exact solve cannot satisfy its own rows; give up honestly
+            working.extend(fresh)
+            continue
+        x = cand
+        certified = not singular or (_kkt_residual(P, r, x, ext_normals, ext_offsets, opts.tol)
+                                     <= opts.tol * float(np.linalg.norm(P @ x) + np.linalg.norm(r)))
+        if not certified:
+            x_free = np.linalg.solve(H, r + rho * x)  # the next proximal centre
 
     max_violation = max(float((ext_normals @ x - ext_offsets).max()), 0.0)
     objective = 0.5 * float(x @ P @ x) - float(r @ x) + const
-    converged = (certified or (proj_ok and gm <= opts.tol)) and max_violation <= opts.tol
     return ComparatorResult(x_star=x, objective=objective,
-                            converged=converged, max_violation=max_violation)
+                            converged=certified and max_violation <= opts.tol,
+                            max_violation=max_violation, refinements=refinements,
+                            working_rows=len(working))
 
 
 def solve_offline_comparator(evaluation: TraceEvaluation,

@@ -13,24 +13,30 @@ import numpy as np
 from scipy.optimize import minimize
 
 
-def projection_qp(target, halfwidth, halfspaces):
-    """Nearest point to ``target`` in the box intersected with halfspaces, via SLSQP."""
-    target = np.asarray(target, dtype=float)
-    p = target.size
-    cons = [
-        {"type": "ineq", "fun": (lambda x, a=np.asarray(a, float), beta=float(beta): beta - a @ x)}
-        for a, beta in halfspaces
-    ]
+def quadratic_qp(P, r, halfwidth, normals, offsets, ftol=1e-12):
+    """Minimizer of x'Px/2 - r'x over the box cut by {normals @ x <= offsets}, via SLSQP."""
+    P, r = np.asarray(P, dtype=float), np.asarray(r, dtype=float)
+    normals, offsets = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
     res = minimize(
-        lambda x: 0.5 * np.sum((x - target) ** 2),
-        x0=np.zeros(p),
-        bounds=[(-halfwidth, halfwidth)] * p,
-        constraints=cons,
+        lambda x: 0.5 * x @ P @ x - r @ x,
+        x0=np.zeros(r.size),
+        jac=lambda x: P @ x - r,
+        bounds=[(-halfwidth, halfwidth)] * r.size,
+        constraints=[{"type": "ineq", "fun": lambda x: offsets - normals @ x,
+                      "jac": lambda x: -normals}],
         method="SLSQP",
-        options={"ftol": 1e-14, "maxiter": 500},
+        options={"ftol": ftol, "maxiter": 500},
     )
     assert res.success, res.message
     return res.x
+
+
+def projection_qp(target, halfwidth, halfspaces):
+    """Nearest point to ``target`` in the box intersected with halfspaces, via SLSQP."""
+    target = np.asarray(target, dtype=float)
+    normals = [a for a, _beta in halfspaces]
+    offsets = [beta for _a, beta in halfspaces]
+    return quadratic_qp(np.eye(target.size), target, halfwidth, normals, offsets, ftol=1e-14)
 
 
 def backbone_edges(n, t):

@@ -5,6 +5,7 @@ checks computed apart from the program (perfbench/checks.py) run here too,
 on a short CLI run of every preset."""
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -94,4 +95,21 @@ def test_independent_checks_pass_on_each_preset(tmp_path, monkeypatch, preset):
         out, seeds, horizon, regret, traces=traces,
         sample_rounds=CHECKS.sample_round_list(random.Random(0), horizon - 1))
     assert sorted(traces) == seeds
+    assert not failures, [str(f) for f in failures]
+
+
+def test_singular_loss_matrix_certifies_through_the_cli(tmp_path):
+    # One agent with one loss row and no ridge term: the summed loss matrix
+    # over three rounds has rank 3 < p = 5, so the comparator takes its
+    # proximal path; perfbench's KKT and regret-identity checks must pass.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"problem": {"n": 1, "p": 5, "q_i": 1, "m_i": 2, "mu_reg": 0.0},
+         "schedule": {"mode": "theorem1", "c": 0.5},
+         "run": {"horizon": 4, "seeds": [101, 102, 103]}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert [e["comparator"]["converged"] for e in report["seeds"]] == [True] * 3
+    failures = CHECKS.RunChecker().check(out, [101, 102, 103], 4, True)
     assert not failures, [str(f) for f in failures]

@@ -34,32 +34,32 @@ RESOLVED_PRESETS = {
     "desk-convex-c05": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"max_iter": 100000, '
-        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
         '"mode": "theorem1", "mu": null, "overrides": null, "theorem_compliant": true}}'),
     "desk-slater-margin-sweep": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 1.0, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"max_iter": 100000, '
-        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
         '"mode": "theorem1", "mu": null, "overrides": null, "theorem_compliant": true}}'),
     "desk-strongly-convex-t4": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 1.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"max_iter": 100000, '
-        '"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", "out": "runs/out", '
+        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
         '"mode": "theorem4", "mu": 1.0, "overrides": null, "theorem_compliant": true}}'),
     "paper-sec4": (
         '{"graph": {"backbone": true, "edge_prob": 0.1}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 100, "p": 10, "q_i": 4}, '
-        '"run": {"comparator": {"max_iter": 100000, '
-        '"tol": 1e-06}, "horizon": 1000, "init_rule": "zeros", "out": "runs/out", '
+        '"run": {"comparator": {"tol": 1e-06}, "horizon": 1000, "init_rule": "zeros", '
+        '"out": "runs/out", '
         '"regret": false, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.15, "mode": "custom", '
         '"mu": null, "overrides": {"alpha_exponent": 1.0, "alpha_scale": 1.0, '
@@ -239,8 +239,13 @@ class TestMainFlags:
         (seed_entry,) = report["seeds"]
         assert set(seed_entry) == {"seed", "trace_digest", "comparator"}
         assert seed_entry["seed"] == 5
+        assert set(seed_entry["comparator"]) == {
+            "converged", "objective", "max_violation", "refinements", "working_rows", "x_star"}
         assert seed_entry["comparator"]["converged"] is True
         assert seed_entry["comparator"]["max_violation"] <= 1e-6
+        # the exact solves made, and a working set that holds the 2p box faces
+        assert 1 <= seed_entry["comparator"]["refinements"]
+        assert seed_entry["comparator"]["working_rows"] >= 10
         # the entry is what the library's simulate gives for this seed
         cfg = parse_config(preset="desk-convex-c05", overrides={"run": {"horizon": 60}})
         result = simulate(cfg, 5)
@@ -341,8 +346,8 @@ class TestExitCodes:
         assert "invariant violation" in capsys.readouterr().err
 
     def test_comparator_failure_exits_three(self, tmp_path, monkeypatch, capsys):
-        bad = ComparatorResult(x_star=np.zeros(5), objective=0.0,
-                               converged=False, max_violation=1.0)
+        bad = ComparatorResult(x_star=np.zeros(5), objective=0.0, converged=False,
+                               max_violation=1.0, refinements=1, working_rows=10)
         monkeypatch.setattr(cli, "solve_offline_comparator",
                             lambda *args, **kwargs: bad)
         cfg = parse_config(preset="desk-convex-c05",

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.derive_expected_values import quadratic_qp  # tests/oracles, the SLSQP route
 
 from banditpd import problems
 from banditpd.engine import run_horizon
@@ -158,8 +161,8 @@ class TestSeriesMetrics:
 
     def test_regret_requires_convergence(self):
         trace = tiny_run()
-        bad = ComparatorResult(x_star=np.zeros(2), objective=0.0,
-                               converged=False, max_violation=1.0)
+        bad = ComparatorResult(x_star=np.zeros(2), objective=0.0, converged=False,
+                               max_violation=1.0, refinements=1, working_rows=4)
         with pytest.raises(ValueError):
             network_regret(evaluate_trace(trace), bad)
 
@@ -248,6 +251,30 @@ class TestQuadraticMinimizer:
             feas = pts[np.all(pts @ normals.T <= offsets, axis=1)]
             vals = 0.5 * np.einsum("ip,pq,iq->i", feas, P, feas) - feas @ r
             assert res.objective <= vals.min() + 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 6), data=st.data())
+    def test_rank_deficient_matches_slsqp(self, p, data):
+        # P = M'M of rank k < p, as with no ridge term and fewer loss rows than
+        # dimensions: no Cholesky factor, so the proximal path must certify.
+        k = data.draw(st.integers(1, p - 1), label="k")
+        m = data.draw(st.integers(1, 8), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        halfwidth = float(rng.uniform(0.5, 3.0))
+        M = rng.normal(size=(k, p))
+        P = M.T @ M
+        r = M.T @ rng.normal(scale=3.0, size=k)
+        normals = rng.normal(size=(m, p))
+        offsets = rng.uniform(0.05, 1.0, size=m)  # the origin is strictly feasible
+        tol = ComparatorOptions().tol
+        res = minimize_quadratic_over_polytope(P, r, 0.0, Box(dim=p, halfwidth=halfwidth),
+                                               normals, offsets)
+        assert res.converged
+        assert float((normals @ res.x_star - offsets).max()) <= tol
+        assert float(np.abs(res.x_star).max()) <= halfwidth + tol
+        x_ref = quadratic_qp(P, r, halfwidth, normals, offsets)
+        f_ref = 0.5 * x_ref @ P @ x_ref - r @ x_ref
+        assert res.objective == pytest.approx(f_ref, rel=1e-7, abs=1e-7)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
