@@ -22,11 +22,8 @@ import numpy as np
 from . import __version__
 from .engine import VARIANTS, InvariantViolation, run_horizon
 from .metrics import (
-    ComparatorOptions,
     MetricSeries,
     cumulative_loss,
-    envelope_exponent,
-    envelope_ids_for_mode,
     evaluate_trace,
     fit_loglog_slope,
     log_checkpoints,
@@ -41,6 +38,7 @@ from .schedule import (
     ScheduleParams,
     check_gamma0_compliance,
     default_gamma0,
+    rate_envelopes,
     round_params,
 )
 
@@ -155,8 +153,6 @@ CONFIG_KEYS = (
     ("run", "regret", bool, True, None),
     ("run", "tail_fraction", float, 0.5, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
     ("run", "init_rule", str, "zeros", _one_of(("zeros", "uniform"))),
-    ("run", "comparator", dict, {}, None),
-    ("run.comparator", "tol", float, ComparatorOptions.tol, (lambda v: v > 0, "must be > 0")),
 )
 
 _ROWS: dict[str, dict[str, tuple]] = {}
@@ -276,9 +272,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                 f"schedule.gamma0={schedule.gamma0} exceeds the compliant ceiling "
                 f"{default_gamma0(problem['p'], G2)}; set theorem_compliant false to force")
 
-    # Rounds 1..horizon are evaluated. Each sequence is a fixed scale times a
-    # power of t, so the failure margins are convex in that power, which is
-    # monotone in t: the worst round is the first or the last.
+    # Rounds 1..horizon are evaluated. Every sequence is a fixed scale times
+    # the one power s_t = t^-e, which falls with t, and each check of a round
+    # (positive, finite, xi <= 1, delta <= r_X xi) is monotone in s_t: the
+    # worst round is the first or the last.
     where = "schedule.overrides" if schedule.mode == "custom" else "schedule"
     for t in (1, run["horizon"]):
         try:
@@ -362,7 +359,7 @@ def simulate(config: ExperimentConfig, seed: int) -> dict:
     result.update(net_ccv=network_ccv(ev).values, cum_loss=cumulative_loss(ev).values,
                   net_regret=np.full(trace.rounds, np.nan))
     if run["regret"]:
-        comp = solve_offline_comparator(ev, ComparatorOptions(**run["comparator"]))
+        comp = solve_offline_comparator(ev)
         result["comparator"] = {
             "converged": comp.converged,
             "objective": comp.objective,
@@ -421,17 +418,11 @@ def run_experiment(config: ExperimentConfig) -> int:
         slopes["net_regret"] = (
             _fit_or_error(MetricSeries(checkpoints, avg["net_regret"]), tail_fraction)
             if run["regret"] else None)
-    ids = envelope_ids_for_mode(config.schedule.mode)
-    exponents = {}
-    for eid in ids:
-        exp = envelope_exponent(eid, config.schedule.c)
-        exponents[eid] = exp if exp is not None else ("sqrt(T log T)" if eid == "T4-ccv" else "log(T)")
-
     report = {
         "version": __version__,
         "config": config.to_dict(),
         "slopes": slopes,
-        "rate_envelopes": exponents,
+        "rate_envelopes": rate_envelopes(config.schedule),
         "seeds": [{"seed": seed, "trace_digest": res["trace_digest"],
                    "comparator": res["comparator"]}
                   for seed, res in results.items()],

@@ -141,7 +141,11 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
         g_x, g_probe = g_clip, np.maximum(g_probe, 0.0)
     omega = (estimate_loss_grad(f_x, f_probe, U, sched.delta, p)
              + matvec(estimate_constraint_jacobian(g_x, g_probe, U, sched.delta, p), q_new))
-    Z_next = project_scaled(box, X - sched.alpha * omega, xi_next)
+    target = X - sched.alpha * omega
+    finite = np.isfinite(target).all(axis=1)
+    if not finite.all():
+        raise InvariantViolation(f"non-finite step at t={t}, agent {np.argmin(finite) + 1}")
+    Z_next = project_scaled(box, target, xi_next)
     step, omega_norm = _norms(Z_next - X), _norms(omega)
 
     h = box.halfwidth

@@ -1,5 +1,5 @@
 """Network regret, cumulative constraint violation, the offline comparator,
-rate-envelope exponents, and log-log slope fitting.
+and log-log slope fitting.
 
 The expensive part is a single pass over the trace that reads each round's
 recorded problem data and evaluates every agent's loss and constraints at
@@ -26,13 +26,10 @@ from .geometry import Box
 from .geometry import project_intersection  # noqa: F401  looked up by perfbench/child.py:TRACED
 from .problems import RegressionProblemSpec
 
-ENVELOPE_IDS = (
-    "T1-reg", "T1-ccv", "T2-ccv",
-    "T4-reg", "T4-ccv", "T4-ccv-slater",
-)
-
-# Comparator internals: the cap on exact working-set solves per call, and the
-# proximal weight, relative to trace(P), of the singular-P path.
+# Comparator internals: the feasibility and KKT tolerance of a certified
+# answer, the cap on exact working-set solves per call, and the proximal
+# weight, relative to trace(P), of the singular-P path.
+COMPARATOR_TOL = 1e-6
 MAX_REFINEMENTS = 128
 PROX_WEIGHT = 1e-6
 
@@ -66,11 +63,6 @@ class ComparatorResult:
     max_violation: float
     refinements: int
     working_rows: int
-
-
-@dataclass
-class ComparatorOptions:
-    tol: float = 1e-6
 
 
 @dataclass
@@ -220,38 +212,38 @@ def _solve_working_set(L, L_inv_t, x_free, normals, offsets, working):
     return L_inv_t @ (sigma * y) + x_free
 
 
-def _kkt_residual(P, r, x, normals, offsets, tol) -> float:
+def _kkt_residual(P, r, x, normals, offsets) -> float:
     """|P x - r + G'lam| for the NNLS multipliers lam >= 0 on the rows G that
-    are active at x to within tol."""
+    are active at x to within COMPARATOR_TOL."""
     grad = P @ x - r
-    G = normals[offsets - normals @ x <= tol]
+    G = normals[offsets - normals @ x <= COMPARATOR_TOL]
     lam = nnls(G.T, -grad)[0] if G.shape[0] else np.zeros(0)
     return float(np.linalg.norm(grad + G.T @ lam))
 
 
-def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
-                                     opts: ComparatorOptions | None = None) -> ComparatorResult:
+def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets) -> ComparatorResult:
     """Minimize x'Px/2 - r'x + const over box ∩ {normals @ x <= offsets}.
 
     Exact working-set method with constraint generation. The 2p box faces
     join the pool as rows and start the working set; each refinement solves
     the program on the working rows alone, exactly, by least-distance NNLS,
     and up to eight of the worst pool rows its answer violates join the set.
-    An exact minimizer over a row subset that meets every row to tol is the
-    minimizer over the pool: the certificate when P is positive definite.
+    An exact minimizer over a row subset that meets every row to
+    COMPARATOR_TOL is the minimizer over the pool: the certificate when P is
+    positive definite.
 
     A singular P (no ridge term and fewer loss rows than dimensions; a
     Cholesky pivot squared at most PROX_WEIGHT * trace(P)) makes each answer
     that meets the pool a proximal-point step, the minimizer of the program
     plus rho/2 |x - x_prev|^2 with rho = PROX_WEIGHT * trace(P) and x_prev the
     last step (first the origin). A step is certified when NNLS multipliers on
-    the rows active to within tol cancel P x - r to tol * (|P x| + |r|).
+    the rows active to within COMPARATOR_TOL cancel P x - r to COMPARATOR_TOL
+    times (|P x| + |r|).
 
-    converged means certified and max_violation <= tol; refinements counts
-    the exact solves (at most MAX_REFINEMENTS), working_rows the final
-    working-set size, box faces included.
+    converged means certified and max_violation <= COMPARATOR_TOL;
+    refinements counts the exact solves (at most MAX_REFINEMENTS),
+    working_rows the final working-set size, box faces included.
     """
-    opts = opts or ComparatorOptions()
     P = np.asarray(P, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, box.dim)
@@ -287,29 +279,29 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets,
         if cand is None:
             break
         violation = ext_normals @ cand - ext_offsets
-        if float(violation.max()) > opts.tol:
+        if float(violation.max()) > COMPARATOR_TOL:
             fresh = [int(j) for j in np.argsort(violation)[::-1][:8]
-                     if violation[j] > opts.tol and int(j) not in working]
+                     if violation[j] > COMPARATOR_TOL and int(j) not in working]
             if not fresh:
                 break  # exact solve cannot satisfy its own rows; give up honestly
             working.extend(fresh)
             continue
         x = cand
-        certified = not singular or (_kkt_residual(P, r, x, ext_normals, ext_offsets, opts.tol)
-                                     <= opts.tol * float(np.linalg.norm(P @ x) + np.linalg.norm(r)))
+        certified = not singular or (
+            _kkt_residual(P, r, x, ext_normals, ext_offsets)
+            <= COMPARATOR_TOL * float(np.linalg.norm(P @ x) + np.linalg.norm(r)))
         if not certified:
             x_free = np.linalg.solve(H, r + rho * x)  # the next proximal centre
 
     max_violation = max(float((ext_normals @ x - ext_offsets).max()), 0.0)
     objective = 0.5 * float(x @ P @ x) - float(r @ x) + const
     return ComparatorResult(x_star=x, objective=objective,
-                            converged=certified and max_violation <= opts.tol,
+                            converged=certified and max_violation <= COMPARATOR_TOL,
                             max_violation=max_violation, refinements=refinements,
                             working_rows=len(working))
 
 
-def solve_offline_comparator(evaluation: TraceEvaluation,
-                             opts: ComparatorOptions | None = None) -> ComparatorResult:
+def solve_offline_comparator(evaluation: TraceEvaluation) -> ComparatorResult:
     """Best fixed point for the evaluated rounds: minimize the summed averaged
     loss subject to every constraint of every agent at every round."""
     _require_nonempty(evaluation)
@@ -317,7 +309,7 @@ def solve_offline_comparator(evaluation: TraceEvaluation,
     return minimize_quadratic_over_polytope(
         evaluation.quad_P.sum(axis=0), evaluation.quad_r.sum(axis=0),
         float(evaluation.quad_c.sum()), Box(dim=spec.p, halfwidth=spec.halfwidth),
-        evaluation.pool_normals, evaluation.pool_offsets, opts)
+        evaluation.pool_normals, evaluation.pool_offsets)
 
 
 def fit_loglog_slope(series: MetricSeries, tail_fraction: float) -> float:
@@ -337,29 +329,6 @@ def fit_loglog_slope(series: MetricSeries, tail_fraction: float) -> float:
         raise ValueError("nonpositive values in the tail window; slope undefined")
     slope, _ = np.polyfit(np.log(h), np.log(v), 1)
     return float(slope)
-
-
-def envelope_exponent(theorem_id: str, c: float = 0.5) -> float | None:
-    """Growth exponent for power-law envelopes; None for logarithmic ones."""
-    if theorem_id not in ENVELOPE_IDS:
-        raise ValueError(f"unknown envelope id {theorem_id!r}; known: {ENVELOPE_IDS}")
-    if theorem_id.startswith(("T1", "T2")) and not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    power = {
-        "T1-reg": max(c, 1.0 - c),
-        "T1-ccv": 1.0 - c / 2.0,
-        "T2-ccv": 1.0 - c,
-    }
-    return power.get(theorem_id)
-
-
-def envelope_ids_for_mode(mode: str) -> tuple[str, ...]:
-    """Envelope ids whose hypotheses match a schedule mode."""
-    if mode == "theorem1":
-        return ("T1-reg", "T1-ccv", "T2-ccv")
-    if mode == "theorem4":
-        return ("T4-reg", "T4-ccv", "T4-ccv-slater")
-    return ()
 
 
 def log_checkpoints(rounds: int) -> np.ndarray:

@@ -62,12 +62,6 @@ def sample_unit_sphere(rng: np.random.Generator, p: int) -> np.ndarray:
             return g / norm
 
 
-def sample_unit_ball(rng: np.random.Generator, p: int) -> np.ndarray:
-    """Uniform draw from the unit ball: sphere draw scaled by U^(1/p)."""
-    u = sample_unit_sphere(rng, p)
-    return u * rng.uniform() ** (1.0 / p)
-
-
 def estimate_loss_grad(f_x, f_probe, u: np.ndarray, delta: float, p: int) -> np.ndarray:
     """Two-point gradient estimate (p/delta) * (f(x + delta u) - f(x)) * u.
 
@@ -92,21 +86,3 @@ def estimate_constraint_jacobian(g_x: np.ndarray, g_probe: np.ndarray, u: np.nda
         raise ValueError("probe radius must be positive")
     d = (p / delta) * (g_probe - g_x)
     return u[..., :, None] * d[..., None, :]
-
-
-def smoothed_value_mc(f, x, delta: float, n_samples: int, rng: np.random.Generator) -> float:
-    """Monte Carlo average of f over the delta-ball around x.
-
-    With delta = 0 the ball degenerates to {x} and the exact value f(x) is
-    returned without consuming randomness.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if delta == 0.0:
-        return float(f(x))
-    p = x.size
-    total = 0.0
-    for _ in range(n_samples):
-        total += float(f(x + delta * sample_unit_ball(rng, p)))
-    return total / n_samples

@@ -1,17 +1,28 @@
-"""Per-round parameter sequences: stepsize, dual scale, shrinkage, probe radius.
+"""Per-round parameter sequences: stepsize, dual scale, shrinkage, probe radius,
+and the rate envelopes each schedule mode promises.
 
-Three modes are supported. "theorem1" is the convex-case schedule
-alpha_t = t^-c with gamma_t = gamma0 / alpha_t, xi_t = alpha_t and
-delta_t = r_X * alpha_t. "theorem4" is the strongly-convex schedule
-alpha_t = 1/(mu t), with xi capped at 1 so the shrunk set stays defined when
-mu < 1. "custom" takes explicit scale/exponent overrides and exists for the
-published benchmark settings, which use a dual scale well above the
-compliance bound.
+Every mode is scales of one power of t, s_t = t^(-e):
+
+    alpha_t = a s_t,   gamma_t = gamma0 / alpha_t,   xi_t = min(x s_t, 1),
+
+with the probe radius delta_t = r_X xi_t in the theorem modes and d s_t in
+custom mode, where it must stay within r_X xi_t so probes stay in the set.
+
+    mode      a            x         e               delta
+    theorem1  1            1         c               r_X xi_t
+    theorem4  1/mu         1/mu      1               r_X xi_t
+    custom    alpha_scale  xi_scale  alpha_exponent  delta_scale s_t
+
+"theorem1" is the convex-case schedule; "theorem4" is the strongly-convex
+one, whose cap on xi keeps the shrunk set defined when mu < 1. "custom"
+exists for the published benchmark settings, which use a dual scale well
+above the compliance bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 MODES = ("theorem1", "theorem4", "custom")
 
@@ -28,6 +39,9 @@ class ScheduleOverrides:
 
 @dataclass(frozen=True)
 class ScheduleParams:
+    """A schedule mode and its constants; scales holds the mode's power law
+    (a, x, e, d), with d None where delta follows r_X * xi."""
+
     mode: str
     gamma0: float
     c: float = 0.5
@@ -35,6 +49,7 @@ class ScheduleParams:
     r_X: float = 1.0
     overrides: ScheduleOverrides | None = None
     theorem_compliant: bool = True
+    scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -49,6 +64,14 @@ class ScheduleParams:
             raise ValueError("custom mode requires overrides")
         if not self.r_X > 0:
             raise ValueError("r_X must be positive")
+        if self.mode == "theorem1":
+            scales = (1.0, 1.0, self.c, None)
+        elif self.mode == "theorem4":
+            scales = (1.0 / self.mu, 1.0 / self.mu, 1.0, None)
+        else:
+            ov = self.overrides
+            scales = (ov.alpha_scale, ov.xi_scale, ov.alpha_exponent, ov.delta_scale)
+        object.__setattr__(self, "scales", scales)
 
 
 @dataclass(frozen=True)
@@ -61,66 +84,41 @@ class RoundParams:
     delta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.gamma > 0 and self.delta > 0):
-            raise ValueError("alpha, gamma, delta must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.gamma < math.inf
+                and 0.0 < self.delta < math.inf):
+            raise ValueError(f"alpha, gamma, delta must be positive and finite, got {self}")
         if not (0.0 < self.xi <= 1.0):
             raise ValueError("xi must be in (0, 1]")
 
 
-def theorem1_round(params: ScheduleParams, t: int) -> RoundParams:
-    """Convex-case schedule (t^-c, gamma0 t^c, t^-c, r_X t^-c)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if params.mode != "theorem1":
-        raise ValueError("params.mode must be 'theorem1'")
-    alpha = float(t) ** (-params.c)
-    return RoundParams(
-        alpha=alpha,
-        gamma=params.gamma0 / alpha,
-        xi=alpha,
-        delta=params.r_X * alpha,
-    )
+def round_params(params: ScheduleParams, t: int) -> RoundParams:
+    """The round-t values of the schedule's power law.
 
-
-def theorem4_round(params: ScheduleParams, t: int) -> RoundParams:
-    """Strongly-convex schedule alpha_t = 1/(mu t); xi = min(alpha, 1).
-
-    The cap keeps the shrink factor inside (0, 1] when mu < 1 would give
-    alpha_1 > 1; delta follows the capped xi so probes stay inside the set.
+    s = 1/t is one exact division where e = 1; any other exponent goes
+    through pow.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if params.mode != "theorem4":
-        raise ValueError("params.mode must be 'theorem4'")
-    alpha = 1.0 / (params.mu * t)
-    xi = min(alpha, 1.0)
-    return RoundParams(
-        alpha=alpha,
-        gamma=params.gamma0 / alpha,
-        xi=xi,
-        delta=params.r_X * xi,
-    )
-
-
-def custom_round(params: ScheduleParams, t: int) -> RoundParams:
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    ov = params.overrides
-    alpha = ov.alpha_scale * float(t) ** (-ov.alpha_exponent)
-    xi = min(ov.xi_scale * float(t) ** (-ov.alpha_exponent), 1.0)
-    delta = ov.delta_scale * float(t) ** (-ov.alpha_exponent)
+    a, x, e, d = params.scales
+    s = 1.0 / t if e == 1.0 else float(t) ** (-e)
+    alpha = a * s
+    xi = min(x * s, 1.0)
+    delta = params.r_X * xi if d is None else d * s
     if delta > params.r_X * xi:
-        raise ValueError("custom overrides violate delta <= r_X * xi; probes would leave the set")
+        raise ValueError("delta exceeds r_X * xi; probes would leave the set")
     return RoundParams(alpha=alpha, gamma=params.gamma0 / alpha, xi=xi, delta=delta)
 
 
-def round_params(params: ScheduleParams, t: int) -> RoundParams:
-    """Dispatch on mode."""
+def rate_envelopes(params: ScheduleParams) -> dict[str, float | str]:
+    """Growth of the bounds the mode's theorems promise, by envelope id: a
+    power-law exponent of T, or the logarithmic rate as text. Custom mode
+    promises none."""
+    c = params.c
     if params.mode == "theorem1":
-        return theorem1_round(params, t)
+        return {"T1-reg": max(c, 1.0 - c), "T1-ccv": 1.0 - c / 2.0, "T2-ccv": 1.0 - c}
     if params.mode == "theorem4":
-        return theorem4_round(params, t)
-    return custom_round(params, t)
+        return {"T4-reg": "log(T)", "T4-ccv": "sqrt(T log T)", "T4-ccv-slater": "log(T)"}
+    return {}
 
 
 def default_gamma0(p: int, G2: float) -> float:

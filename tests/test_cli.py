@@ -34,7 +34,7 @@ RESOLVED_PRESETS = {
     "desk-convex-c05": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"run": {"horizon": 2000, "init_rule": "zeros", '
         '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -42,7 +42,7 @@ RESOLVED_PRESETS = {
     "desk-slater-margin-sweep": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 1.0, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"run": {"horizon": 2000, "init_rule": "zeros", '
         '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -50,7 +50,7 @@ RESOLVED_PRESETS = {
     "desk-strongly-convex-t4": (
         '{"graph": {"backbone": true, "edge_prob": 0.3}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 1.0, "n": 10, "p": 5, "q_i": 2}, '
-        '"run": {"comparator": {"tol": 1e-06}, "horizon": 2000, "init_rule": "zeros", '
+        '"run": {"horizon": 2000, "init_rule": "zeros", '
         '"out": "runs/out", '
         '"regret": true, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.00024038461538461534, '
@@ -58,7 +58,7 @@ RESOLVED_PRESETS = {
     "paper-sec4": (
         '{"graph": {"backbone": true, "edge_prob": 0.1}, "problem": {"b_offset": 0.01, '
         '"halfwidth": 5.0, "m_i": 2, "mu_reg": 0.0, "n": 100, "p": 10, "q_i": 4}, '
-        '"run": {"comparator": {"tol": 1e-06}, "horizon": 1000, "init_rule": "zeros", '
+        '"run": {"horizon": 1000, "init_rule": "zeros", '
         '"out": "runs/out", '
         '"regret": false, "seeds": [101, 102, 103, 104, 105], "tail_fraction": 0.5, '
         '"variant": "paper"}, "schedule": {"c": 0.5, "gamma0": 0.15, "mode": "custom", '
@@ -161,12 +161,16 @@ class TestParse:
         ("desk-convex-c05", {"run": {"horizon": True}}, "run.horizon"),
         ("paper-sec4", {"schedule": {"overrides": {"xi_scale": "x"}}},
          "schedule.overrides.xi_scale"),
-        ("desk-convex-c05", {"run": {"comparator": {"tol": "x"}}}, "run.comparator.tol"),
+        # the comparator's tolerance is a constant, not an option
+        ("desk-convex-c05", {"run": {"comparator": {"tol": 1e-6}}}, "run.comparator"),
         ("paper-sec4", {"schedule": {"overrides": {"alpha_scale": True}}},
          "schedule.overrides.alpha_scale"),
-        ("desk-convex-c05", {"run": {"comparator": {"max_iter": 2.7}}},
-         "run.comparator.max_iter"),
-        ("desk-convex-c05", {"run": {"comparator": {"tol": -1}}}, "run.comparator.tol"),
+        # the dual scale gamma0 / alpha overflows to inf from round 982 of 1000
+        ("paper-sec4", {"schedule": {"overrides": {"alpha_exponent": 103.3}}},
+         "schedule.overrides"),
+        # ... and at round 1 when alpha starts subnormal
+        ("paper-sec4", {"schedule": {"overrides": {"alpha_scale": 1e-320}}},
+         "schedule.overrides"),
         ("desk-convex-c05", {"problem": {"halfwidth": float("inf")}}, "problem.halfwidth"),
         # finite, but the analytic bounds overflow
         ("desk-convex-c05", {"problem": {"halfwidth": 1e308}}, "problem"),
@@ -204,11 +208,12 @@ class TestParse:
         assert code == EXIT_CONFIG
         assert "schedule.overrides" in capsys.readouterr().err
         assert not out.exists()
-        # a steep decay: delta = 0.01 t^-200 first underflows to 0 at t = 41
-        steep = {"schedule": {"overrides": {"alpha_exponent": 200}}, "run": {"horizon": 40}}
-        assert parse_config(preset="paper-sec4", overrides=steep).horizon == 40
-        steep["run"]["horizon"] = 41
-        with pytest.raises(ConfigError, match=r"schedule\.overrides: .*round 41"):
+        # a steep decay: gamma = 0.15 t^200 first overflows to inf at t = 36,
+        # before delta = 0.01 t^-200 underflows to 0 at t = 41
+        steep = {"schedule": {"overrides": {"alpha_exponent": 200}}, "run": {"horizon": 35}}
+        assert parse_config(preset="paper-sec4", overrides=steep).horizon == 35
+        steep["run"]["horizon"] = 36
+        with pytest.raises(ConfigError, match=r"schedule\.overrides: .*gamma=inf.*round 36"):
             parse_config(preset="paper-sec4", overrides=steep)
 
 
@@ -344,6 +349,21 @@ class TestExitCodes:
                            overrides=desk_overrides(tmp_path))
         assert run_experiment(cfg) == EXIT_INVARIANT
         assert "invariant violation" in capsys.readouterr().err
+
+    def test_non_finite_step_exits_two(self, tmp_path, capsys):
+        # The schedule resolves for horizon 960, but p / delta overflows at
+        # round 902: the run stops there with an invariant violation rather
+        # than a traceback from the projection. Ten agents keep it quick; the
+        # overflow round depends only on p and the schedule.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"n": 10},
+                                        "schedule": {"overrides": {"alpha_exponent": 103.3}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+            code = main(["--preset", "paper-sec4", "--config", str(cfg_path), "--horizon", "960",
+                         "--no-regret", "--seed-list", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVARIANT
+        assert "non-finite step at t=902, agent " in capsys.readouterr().err
 
     def test_comparator_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         bad = ComparatorResult(x_star=np.zeros(5), objective=0.0, converged=False,

@@ -8,15 +8,12 @@ from banditpd import problems
 from banditpd.engine import run_horizon
 from banditpd.geometry import Box
 from banditpd.metrics import (
-    ENVELOPE_IDS,
-    ComparatorOptions,
+    COMPARATOR_TOL,
     ComparatorResult,
     MetricSeries,
     TraceEvaluation,
     comparator_loss_series,
     cumulative_loss,
-    envelope_exponent,
-    envelope_ids_for_mode,
     evaluate_trace,
     fit_loglog_slope,
     log_checkpoints,
@@ -33,7 +30,7 @@ from banditpd.problems import (
     eval_loss,
     materialize,
 )
-from banditpd.schedule import ScheduleParams
+from banditpd.schedule import ScheduleOverrides, ScheduleParams, rate_envelopes
 
 
 def tiny_run(seed=11, n=3, p=2, T=25, b_offset=0.5):
@@ -266,7 +263,7 @@ class TestQuadraticMinimizer:
         r = M.T @ rng.normal(scale=3.0, size=k)
         normals = rng.normal(size=(m, p))
         offsets = rng.uniform(0.05, 1.0, size=m)  # the origin is strictly feasible
-        tol = ComparatorOptions().tol
+        tol = COMPARATOR_TOL
         res = minimize_quadratic_over_polytope(P, r, 0.0, Box(dim=p, halfwidth=halfwidth),
                                                normals, offsets)
         assert res.converged
@@ -335,30 +332,24 @@ class TestSlopeFit:
 
 
 class TestEnvelopes:
+    """schedule.rate_envelopes: the rates report.json sets beside the fitted slopes."""
+
     def test_power_law_exponents(self):
-        assert envelope_exponent("T1-reg", c=0.3) == pytest.approx(0.7)
-        assert envelope_exponent("T1-reg", c=0.5) == pytest.approx(0.5)
-        assert envelope_exponent("T1-ccv", c=0.5) == pytest.approx(0.75)
-        assert envelope_exponent("T2-ccv", c=0.5) == pytest.approx(0.5)
+        def theorem1(c):
+            return rate_envelopes(ScheduleParams(mode="theorem1", gamma0=0.1, c=c))
+
+        assert theorem1(0.3)["T1-reg"] == pytest.approx(0.7)
+        assert theorem1(0.5) == {"T1-reg": 0.5, "T1-ccv": 0.75, "T2-ccv": 0.5}
 
     def test_logarithmic_ids_have_no_exponent(self):
-        assert envelope_exponent("T4-reg") is None
-        assert envelope_exponent("T4-ccv") is None
-        assert envelope_exponent("T4-ccv-slater") is None
-
-    def test_unknown_id_and_bad_c(self):
-        with pytest.raises(ValueError):
-            envelope_exponent("T9-reg")
-        with pytest.raises(ValueError):
-            envelope_exponent("T1-reg", c=1.0)
+        params = ScheduleParams(mode="theorem4", gamma0=0.1, mu=2.0)
+        assert rate_envelopes(params) == {
+            "T4-reg": "log(T)", "T4-ccv": "sqrt(T log T)", "T4-ccv-slater": "log(T)"}
 
     def test_mode_mapping(self):
-        assert envelope_ids_for_mode("theorem1") == ("T1-reg", "T1-ccv", "T2-ccv")
-        assert envelope_ids_for_mode("theorem4") == ("T4-reg", "T4-ccv", "T4-ccv-slater")
-        assert envelope_ids_for_mode("custom") == ()
-        for mode in ("theorem1", "theorem4"):
-            for env_id in envelope_ids_for_mode(mode):
-                assert env_id in ENVELOPE_IDS
+        # custom mode is outside both theorems' hypotheses and promises no rate
+        params = ScheduleParams(mode="custom", gamma0=0.15, overrides=ScheduleOverrides())
+        assert rate_envelopes(params) == {}
 
 
 class TestLogCheckpoints:
@@ -380,14 +371,3 @@ class TestLogCheckpoints:
         cps = log_checkpoints(50)
         assert len(np.unique(cps)) == len(cps)
         assert cps[-1] == 50
-
-
-class TestComparatorOptions:
-    def test_tighter_tol_still_certifies_exact_faces(self):
-        box = Box(dim=2, halfwidth=5.0)
-        res = minimize_quadratic_over_polytope(
-            np.eye(2), np.array([2.0, 0.0]), 0.0, box,
-            np.array([[1.0, 0.0]]), np.array([1.0]),
-            ComparatorOptions(tol=1e-9))
-        assert res.converged
-        assert res.max_violation <= 1e-9

@@ -10,10 +10,9 @@ from banditpd.oracle import (
     StreamFactory,
     estimate_constraint_jacobian,
     estimate_loss_grad,
-    sample_unit_ball,
     sample_unit_sphere,
-    smoothed_value_mc,
 )
+from oracles.smoothed_value import sample_unit_ball, smoothed_value_mc  # tests/oracles
 
 
 def test_purpose_tags_are_distinct():

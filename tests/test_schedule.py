@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditpd.cli import parse_config
+from banditpd.cli import ConfigError, parse_config, resolve_config
 from banditpd.schedule import (
     MODES,
     RoundParams,
@@ -14,8 +14,6 @@ from banditpd.schedule import (
     check_gamma0_compliance,
     default_gamma0,
     round_params,
-    theorem1_round,
-    theorem4_round,
 )
 
 
@@ -28,7 +26,7 @@ def test_modes_tuple():
 
 
 def test_theorem1_frozen_values():
-    rp = theorem1_round(t1_params(), 4)
+    rp = round_params(t1_params(), 4)
     assert rp.alpha == 0.5
     assert rp.gamma == pytest.approx(0.2, abs=1e-15)
     assert rp.xi == 0.5
@@ -36,7 +34,7 @@ def test_theorem1_frozen_values():
 
 
 def test_theorem1_first_round_shrinks_everything():
-    rp = theorem1_round(t1_params(), 1)
+    rp = round_params(t1_params(), 1)
     assert rp.alpha == 1.0
     assert rp.xi == 1.0
     assert rp.delta == 5.0
@@ -44,7 +42,7 @@ def test_theorem1_first_round_shrinks_everything():
 
 def test_theorem4_frozen_value():
     params = ScheduleParams(mode="theorem4", gamma0=0.1, mu=2.0, r_X=5.0)
-    rp = theorem4_round(params, 10)
+    rp = round_params(params, 10)
     assert rp.alpha == pytest.approx(0.05)
     assert rp.xi == pytest.approx(0.05)
     assert rp.delta == pytest.approx(0.25)
@@ -53,7 +51,7 @@ def test_theorem4_frozen_value():
 def test_theorem4_xi_capped_at_one():
     # mu < 1 makes alpha_1 > 1; xi must cap so the shrunk set stays nonempty.
     params = ScheduleParams(mode="theorem4", gamma0=0.1, mu=0.25, r_X=2.0)
-    rp = theorem4_round(params, 1)
+    rp = round_params(params, 1)
     assert rp.alpha == 4.0
     assert rp.xi == 1.0
     assert rp.delta == 2.0
@@ -103,10 +101,20 @@ def test_validation_errors():
         RoundParams(alpha=1.0, gamma=0.0, xi=0.5, delta=0.1)
     with pytest.raises(ValueError):
         RoundParams(alpha=0.0, gamma=1.0, xi=0.5, delta=0.1)
+    # an overflowed dual scale is rejected, not carried into the round
+    with pytest.raises(ValueError, match="finite"):
+        RoundParams(alpha=1e-310, gamma=math.inf, xi=1e-310, delta=1e-312)
 
 
 def test_round_params_dispatch():
-    assert round_params(t1_params(), 9) == theorem1_round(t1_params(), 9)
+    # each mode resolves once, at construction, to the scales (a, x, e, d) of
+    # one power law; d is None where delta follows r_X * xi
+    assert t1_params(c=0.3).scales == (1.0, 1.0, 0.3, None)
+    assert ScheduleParams(mode="theorem4", gamma0=0.1, mu=4.0).scales == (0.25, 0.25, 1.0, None)
+    overrides = ScheduleOverrides(alpha_scale=0.5, alpha_exponent=0.7, xi_scale=0.2,
+                                  delta_scale=0.1)
+    custom = ScheduleParams(mode="custom", gamma0=0.1, overrides=overrides)
+    assert custom.scales == (0.5, 0.2, 0.7, 0.1)
     with pytest.raises(ValueError):
         round_params(t1_params(), 0)
 
@@ -149,3 +157,58 @@ def test_schedules_decrease():
     alphas = [round_params(params, t).alpha for t in range(1, 200)]
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
     assert math.isclose(alphas[0], 1.0)
+
+
+@given(st.integers(min_value=1, max_value=100_000),
+       st.floats(min_value=0.05, max_value=0.95),
+       st.floats(min_value=0.1, max_value=20.0))
+def test_theorem1_is_a_custom_schedule(t, c, r_X):
+    # bit for bit in all four fields: custom with scales (a, x, e, d) = (1, 1, c, r_X)
+    theorem = ScheduleParams(mode="theorem1", gamma0=0.07, c=c, r_X=r_X)
+    custom = ScheduleParams(mode="custom", gamma0=0.07, r_X=r_X, overrides=ScheduleOverrides(
+        alpha_scale=1.0, alpha_exponent=c, xi_scale=1.0, delta_scale=r_X))
+    assert round_params(theorem, t) == round_params(custom, t)
+
+
+@given(st.integers(min_value=1, max_value=100_000),
+       st.floats(min_value=0.1, max_value=50.0))
+def test_theorem4_is_a_custom_schedule(t, mu):
+    # bit for bit in alpha, gamma and xi: custom with (a, x, e) = (1/mu, 1/mu, 1);
+    # a delta scale half the largest one allowed keeps the custom probe in the set
+    r_X = 4.0
+    theorem = ScheduleParams(mode="theorem4", gamma0=0.02, mu=mu, r_X=r_X)
+    custom = ScheduleParams(mode="custom", gamma0=0.02, r_X=r_X, overrides=ScheduleOverrides(
+        alpha_scale=1.0 / mu, alpha_exponent=1.0, xi_scale=1.0 / mu,
+        delta_scale=0.5 * r_X * min(1.0 / mu, 1.0)))
+    a, b = round_params(theorem, t), round_params(custom, t)
+    assert (a.alpha, a.gamma, a.xi) == (b.alpha, b.gamma, b.xi)
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=low, max_value=high).map(lambda k: 10.0 ** k)
+
+
+SCHEDULES = st.one_of(
+    st.fixed_dictionaries({"mode": st.just("theorem1"), "c": st.floats(0.01, 0.99)}),
+    st.fixed_dictionaries({"mode": st.just("theorem4"), "mu": _log_uniform(-300, 300)}),
+    st.fixed_dictionaries({"mode": st.just("custom"), "overrides": st.fixed_dictionaries({
+        "alpha_scale": _log_uniform(-6, 6), "alpha_exponent": st.floats(0.0, 300.0),
+        "xi_scale": _log_uniform(-6, 6), "delta_scale": _log_uniform(-6, 6)})}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCHEDULES, _log_uniform(-6, 6), st.integers(min_value=1, max_value=1500))
+def test_resolved_config_never_fails_a_round(schedule, gamma0, horizon):
+    # resolve_config checks only the first and last rounds; every round in
+    # between must then pass too. Exponents up to 300 reach underflow and an
+    # infinite dual scale inside the horizon.
+    raw = {"problem": {"n": 2, "p": 2, "m_i": 1},
+           "schedule": {**schedule, "gamma0": gamma0, "theorem_compliant": False},
+           "run": {"horizon": horizon, "seeds": [1]}}
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError:
+        return
+    for t in range(1, horizon + 1):
+        round_params(cfg.schedule, t)
