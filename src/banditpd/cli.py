@@ -22,12 +22,9 @@ import numpy as np
 from . import __version__
 from .engine import VARIANTS, InvariantViolation, run_horizon
 from .metrics import (
-    MetricSeries,
-    cumulative_loss,
     evaluate_trace,
     fit_loglog_slope,
     log_checkpoints,
-    network_ccv,
     network_regret,
     solve_offline_comparator,
 )
@@ -356,7 +353,7 @@ def simulate(config: ExperimentConfig, seed: int) -> dict:
                 "net_regret": np.array([])}
 
     ev = evaluate_trace(trace)
-    result.update(net_ccv=network_ccv(ev).values, cum_loss=cumulative_loss(ev).values,
+    result.update(net_ccv=np.cumsum(ev.ccv_inc), cum_loss=np.cumsum(ev.mean_loss_inc),
                   net_regret=np.full(trace.rounds, np.nan))
     if run["regret"]:
         comp = solve_offline_comparator(ev)
@@ -372,13 +369,13 @@ def simulate(config: ExperimentConfig, seed: int) -> dict:
             raise ComparatorFailure(
                 f"comparator did not converge for seed {seed} "
                 f"(max_violation={comp.max_violation:.3g})")
-        result["net_regret"] = network_regret(ev, comp).values
+        result["net_regret"] = network_regret(ev, comp.x_star)
     return result
 
 
-def _fit_or_error(series: MetricSeries, tail_fraction: float):
+def _fit_or_error(horizons, values, tail_fraction: float):
     try:
-        return fit_loglog_slope(series, tail_fraction)
+        return fit_loglog_slope(horizons, values, tail_fraction)
     except ValueError as exc:
         return {"error": str(exc)}
 
@@ -413,11 +410,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     tail_fraction = run["tail_fraction"]
     slopes: dict[str, object] = {"tail_fraction": tail_fraction}
     if checkpoints.size:
-        slopes["net_ccv"] = _fit_or_error(MetricSeries(checkpoints, avg["net_ccv"]), tail_fraction)
-        slopes["cum_loss"] = _fit_or_error(MetricSeries(checkpoints, avg["cum_loss"]), tail_fraction)
-        slopes["net_regret"] = (
-            _fit_or_error(MetricSeries(checkpoints, avg["net_regret"]), tail_fraction)
-            if run["regret"] else None)
+        slopes["net_ccv"] = _fit_or_error(checkpoints, avg["net_ccv"], tail_fraction)
+        slopes["cum_loss"] = _fit_or_error(checkpoints, avg["cum_loss"], tail_fraction)
+        slopes["net_regret"] = (_fit_or_error(checkpoints, avg["net_regret"], tail_fraction)
+                                if run["regret"] else None)
     report = {
         "version": __version__,
         "config": config.to_dict(),

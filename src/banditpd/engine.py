@@ -126,44 +126,48 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
     U = np.stack([sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
                   for i in range(1, n + 1)])
     probe = X + sched.delta * U
-    f_x, f_probe = eval_loss(data, X), eval_loss(data, probe)
-    g_x, g_probe = eval_constraint(data, X), eval_constraint(data, probe)
-    finite = (np.isfinite(f_x) & np.isfinite(f_probe)
-              & np.isfinite(g_x).all(axis=1) & np.isfinite(g_probe).all(axis=1))
-    if not finite.all():
-        raise ValueError(f"non-finite feedback at t={t}, agent {np.argmin(finite) + 1}")
+    # Past the draws, an overflow either stops the run at one of the two finite
+    # checks, with its own message, or leaves inf in a recorded norm; numpy's
+    # floating-point notices add nothing to either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_x, f_probe = eval_loss(data, X), eval_loss(data, probe)
+        g_x, g_probe = eval_constraint(data, X), eval_constraint(data, probe)
+        finite = (np.isfinite(f_x) & np.isfinite(f_probe)
+                  & np.isfinite(g_x).all(axis=1) & np.isfinite(g_probe).all(axis=1))
+        if not finite.all():
+            raise ValueError(f"non-finite feedback at t={t}, agent {np.argmin(finite) + 1}")
 
-    g_clip = np.maximum(g_x, 0.0)
-    q_new = sched.gamma * g_clip
-    if variant == "clipped-primal":
-        # Ablation: the Jacobian estimator sees the clipped constraint values,
-        # so the probe carries no information once both points are feasible.
-        g_x, g_probe = g_clip, np.maximum(g_probe, 0.0)
-    omega = (estimate_loss_grad(f_x, f_probe, U, sched.delta, p)
-             + matvec(estimate_constraint_jacobian(g_x, g_probe, U, sched.delta, p), q_new))
-    target = X - sched.alpha * omega
-    finite = np.isfinite(target).all(axis=1)
-    if not finite.all():
-        raise InvariantViolation(f"non-finite step at t={t}, agent {np.argmin(finite) + 1}")
-    Z_next = project_scaled(box, target, xi_next)
-    step, omega_norm = _norms(Z_next - X), _norms(omega)
+        g_clip = np.maximum(g_x, 0.0)
+        q_new = sched.gamma * g_clip
+        if variant == "clipped-primal":
+            # Ablation: the Jacobian estimator sees the clipped constraint values,
+            # so the probe carries no information once both points are feasible.
+            g_x, g_probe = g_clip, np.maximum(g_probe, 0.0)
+        omega = (estimate_loss_grad(f_x, f_probe, U, sched.delta, p)
+                 + matvec(estimate_constraint_jacobian(g_x, g_probe, U, sched.delta, p), q_new))
+        target = X - sched.alpha * omega
+        finite = np.isfinite(target).all(axis=1)
+        if not finite.all():
+            raise InvariantViolation(f"non-finite step at t={t}, agent {np.argmin(finite) + 1}")
+        Z_next = project_scaled(box, target, xi_next)
+        step, omega_norm = _norms(Z_next - X), _norms(omega)
 
-    h = box.halfwidth
-    cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * _norms(g_clip))
-    failed = np.column_stack([  # one column per INVARIANTS entry, in its order
-        (q_new < 0.0).any(axis=1),
-        (np.abs(Z_next) > (1.0 - xi_next) * h + MEMBERSHIP_TOL).any(axis=1),
-        (np.abs(X) > h + MEMBERSHIP_TOL).any(axis=1) | (np.abs(probe) > h + MEMBERSHIP_TOL).any(axis=1),
-        step > sched.alpha * omega_norm + STEP_TOL,
-        step > cap + STEP_TOL,
-    ])
-    if failed.any():
-        agent, check = np.argwhere(failed)[0]
-        raise InvariantViolation(f"{INVARIANTS[check]} at t={t}, agent {agent + 1}")
+        h = box.halfwidth
+        cap = sched.alpha * (p * bounds.G1 + p * bounds.G2 * sched.gamma * _norms(g_clip))
+        failed = np.column_stack([  # one column per INVARIANTS entry, in its order
+            (q_new < 0.0).any(axis=1),
+            (np.abs(Z_next) > (1.0 - xi_next) * h + MEMBERSHIP_TOL).any(axis=1),
+            (np.abs(X) > h + MEMBERSHIP_TOL).any(axis=1) | (np.abs(probe) > h + MEMBERSHIP_TOL).any(axis=1),
+            step > sched.alpha * omega_norm + STEP_TOL,
+            step > cap + STEP_TOL,
+        ])
+        if failed.any():
+            agent, check = np.argwhere(failed)[0]
+            raise InvariantViolation(f"{INVARIANTS[check]} at t={t}, agent {agent + 1}")
 
-    rows = {"x_hist": X, "loss": f_x, "g_clipped": g_clip, "direction_norm": omega_norm,
-            "step_norm": step, "dual_norm": _norms(q_new), "A": A, "theta": theta, "B": B, "b": b}
-    return Z_next, rows
+        rows = {"x_hist": X, "loss": f_x, "g_clipped": g_clip, "direction_norm": omega_norm,
+                "step_norm": step, "dual_norm": _norms(q_new), "A": A, "theta": theta, "B": B, "b": b}
+        return Z_next, rows
 
 
 def run_horizon(T: int, spec: RegressionProblemSpec, schedule: ScheduleParams,

@@ -1,12 +1,13 @@
 """Network regret, cumulative constraint violation, the offline comparator,
 and log-log slope fitting.
 
-The expensive part is a single pass over the trace that reads each round's
-recorded problem data and evaluates every agent's loss and constraints at
-every agent's consensus point (the network metrics are defined that way). The
-pass also forms the per-round quadratic coefficients of the averaged loss and
-views the pooled constraint halfspaces, which is exactly what the offline
-comparator needs, so it runs once and everything downstream reuses it.
+One pass over the trace reads each round's recorded problem data. The network
+metrics score every agent's consensus point against the averaged loss f_t =
+(1/n) sum_j f_{j,t}, which for least-squares losses is one quadratic per round,
+x'P_t x/2 - r_t'x + c_t. The pass forms those coefficients and each round's
+CCV increment from every agent's constraints, and views the pooled constraint
+halfspaces. The network loss, f_t(x*) for the regret and the offline
+comparator all read the same (P_t, r_t, c_t).
 
 The offline comparator is one exact method: a working-set solve by NNLS
 least-distance programming (Lawson & Hanson 1974, ch. 23), certified by the
@@ -34,27 +35,6 @@ MAX_REFINEMENTS = 128
 PROX_WEIGHT = 1e-6
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    """A metric sampled at increasing horizons."""
-
-    horizons: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.horizons, dtype=np.int64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if h.shape != v.shape or h.ndim != 1:
-            raise ValueError("horizons and values must be 1-D and equal length")
-        if h.size and (h[0] < 1 or np.any(np.diff(h) <= 0)):
-            raise ValueError("horizons must be strictly increasing and >= 1")
-        object.__setattr__(self, "horizons", h)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.horizons.size
-
-
 @dataclass
 class ComparatorResult:
     x_star: np.ndarray
@@ -69,11 +49,11 @@ class ComparatorResult:
 class TraceEvaluation:
     """Per-round quantities from the pass over a trace.
 
-    mean_loss_inc[k] is (1/n) sum_i f_t(x_{i,t}) for t = k+1, where f_t
-    averages all agents' losses; ccv_inc[k] is the mean over i of the stacked
-    clipped-constraint norm at x_{i,t}. quad_* hold the coefficients of
-    f_t(x) = x'Px/2 - r'x + c, and pool_* every round's constraint halfspaces
-    (views of the trace's B and b).
+    quad_* hold the coefficients of the averaged loss f_t(x) = x'Px/2 - r'x + c
+    (the ridge term is in P), mean_loss_inc[k] is (1/n) sum_i f_t(x_{i,t}) for
+    t = k+1, ccv_inc[k] is the mean over i of the stacked clipped-constraint
+    norm at x_{i,t}, and pool_* are every round's constraint halfspaces (views
+    of the trace's B and b).
     """
 
     problem: RegressionProblemSpec
@@ -87,11 +67,17 @@ class TraceEvaluation:
     pool_offsets: np.ndarray    # (rounds * n * m,)
 
 
+def _mean_round_loss(P, r, c, X) -> np.ndarray:
+    """(1/k) sum_i (x_i'P_t x_i/2 - r_t'x_i) + c_t for each round t, where
+    X[t] holds the round's k points: (T, p, p), (T, p), (T,), (T, k, p) -> (T,)."""
+    PX = np.einsum("tpq,tiq->tip", P, X)
+    return (0.5 * np.einsum("tip,tip->ti", X, PX) - np.einsum("tp,tip->ti", r, X)).mean(axis=1) + c
+
+
 def evaluate_trace(trace) -> TraceEvaluation:
     spec = trace.problem
     n, p = spec.n, spec.p
     rounds = trace.rounds
-    mean_loss_inc = np.empty(rounds)
     ccv_inc = np.empty(rounds)
     quad_P = np.empty((rounds, p, p))
     quad_r = np.empty((rounds, p))
@@ -100,14 +86,7 @@ def evaluate_trace(trace) -> TraceEvaluation:
 
     for k in range(rounds):
         A, theta, B, b = trace.A[k], trace.theta[k], trace.B[k], trace.b[k]
-        X = trace.x_hist[k]                                   # (n, p) points
-        resid = np.einsum("jqp,ip->jiq", A, X) - theta[:, None, :]
-        loss = 0.5 * np.einsum("jiq,jiq->ji", resid, resid)   # f_{j,t}(x_i)
-        if spec.mu_reg:
-            loss += 0.5 * spec.mu_reg * np.einsum("ip,ip->i", X, X)[None, :]
-        mean_loss_inc[k] = loss.mean()
-
-        slack = np.einsum("jmp,ip->jim", B, X) - b[:, None, :]
+        slack = np.einsum("jmp,ip->jim", B, trace.x_hist[k]) - b[:, None, :]
         np.clip(slack, 0.0, None, out=slack)
         ccv_inc[k] = np.sqrt(np.einsum("jim,jim->i", slack, slack)).mean()
 
@@ -118,48 +97,22 @@ def evaluate_trace(trace) -> TraceEvaluation:
         quad_c[k] = 0.5 * float(np.einsum("jq,jq->", theta, theta)) / n
 
     return TraceEvaluation(
-        problem=spec, rounds=rounds, mean_loss_inc=mean_loss_inc,
+        problem=spec, rounds=rounds,
+        mean_loss_inc=_mean_round_loss(quad_P, quad_r, quad_c, trace.x_hist),
         ccv_inc=ccv_inc, quad_P=quad_P, quad_r=quad_r, quad_c=quad_c,
         pool_normals=trace.B.reshape(-1, p), pool_offsets=trace.b.reshape(-1),
     )
 
 
-def _require_nonempty(ev: TraceEvaluation) -> None:
-    if ev.rounds < 1:
-        raise ValueError("trace is empty; nothing to evaluate")
-
-
-def network_ccv(ev: TraceEvaluation) -> MetricSeries:
-    """Mean over agents of the running sum of stacked clipped-constraint norms."""
-    _require_nonempty(ev)
-    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.ccv_inc))
-
-
-def cumulative_loss(ev: TraceEvaluation) -> MetricSeries:
-    """Running sum of (1/n) sum_i f_t(x_{i,t})."""
-    _require_nonempty(ev)
-    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.mean_loss_inc))
-
-
-def comparator_loss_series(ev: TraceEvaluation, x_star: np.ndarray) -> np.ndarray:
-    """Per-round averaged loss at a fixed point: f_t(x*) for every round."""
-    x = np.asarray(x_star, dtype=np.float64)
-    return (0.5 * np.einsum("tab,a,b->t", ev.quad_P, x, x)
-            - ev.quad_r @ x + ev.quad_c)
-
-
-def network_regret(ev: TraceEvaluation, comparator: ComparatorResult) -> MetricSeries:
-    """Running sum of the averaged loss gap to the fixed comparator point.
+def network_regret(ev: TraceEvaluation, x_star: np.ndarray) -> np.ndarray:
+    """Running sum of the averaged loss gap to the fixed point x*.
 
     Every checkpoint T' is scored against the x* of all rounds 1..T-1, which
     is feasible for rounds 1..T', so at T' < T-1 the value is a lower bound on
     the paper's Net-Reg(T'), whose comparator is the best point of 1..T'.
     """
-    _require_nonempty(ev)
-    if not comparator.converged:
-        raise ValueError("comparator did not converge; regret undefined")
-    star = comparator_loss_series(ev, comparator.x_star)
-    return MetricSeries(np.arange(1, ev.rounds + 1), np.cumsum(ev.mean_loss_inc - star))
+    X = np.broadcast_to(np.asarray(x_star, dtype=np.float64), ev.quad_r[:, None, :].shape)
+    return np.cumsum(ev.mean_loss_inc - _mean_round_loss(ev.quad_P, ev.quad_r, ev.quad_c, X))
 
 
 def _least_distance(G, h):
@@ -304,7 +257,8 @@ def minimize_quadratic_over_polytope(P, r, const, box: Box, normals, offsets) ->
 def solve_offline_comparator(evaluation: TraceEvaluation) -> ComparatorResult:
     """Best fixed point for the evaluated rounds: minimize the summed averaged
     loss subject to every constraint of every agent at every round."""
-    _require_nonempty(evaluation)
+    if evaluation.rounds < 1:
+        raise ValueError("trace is empty; no rounds to compare against")
     spec = evaluation.problem
     return minimize_quadratic_over_polytope(
         evaluation.quad_P.sum(axis=0), evaluation.quad_r.sum(axis=0),
@@ -312,19 +266,23 @@ def solve_offline_comparator(evaluation: TraceEvaluation) -> ComparatorResult:
         evaluation.pool_normals, evaluation.pool_offsets)
 
 
-def fit_loglog_slope(series: MetricSeries, tail_fraction: float) -> float:
+def fit_loglog_slope(horizons, values, tail_fraction: float) -> float:
     """Least-squares slope of log(value) against log(horizon) on the tail.
 
-    The window is the last ceil(tail_fraction * len) entries and must contain
-    at least two points, all strictly positive.
+    horizons and values are equal-length 1-D arrays. The window is their last
+    ceil(tail_fraction * len) entries and must contain at least two points,
+    all strictly positive.
     """
+    h = np.asarray(horizons, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if h.shape != v.shape or h.ndim != 1:
+        raise ValueError("horizons and values must be 1-D and equal length")
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError("tail_fraction must be in (0, 1]")
-    count = math.ceil(tail_fraction * len(series))
+    count = math.ceil(tail_fraction * h.size)
     if count < 2:
         raise ValueError("tail window needs at least two points")
-    h = series.horizons[-count:].astype(np.float64)
-    v = series.values[-count:]
+    h, v = h[-count:], v[-count:]
     if np.any(v <= 0.0):
         raise ValueError("nonpositive values in the tail window; slope undefined")
     slope, _ = np.polyfit(np.log(h), np.log(v), 1)

@@ -14,21 +14,14 @@ import pytest
 
 from banditpd.cli import main, parse_config, simulate
 from banditpd.geometry import Box
-from banditpd.metrics import (
-    MetricSeries,
-    fit_loglog_slope,
-    log_checkpoints,
-    minimize_quadratic_over_polytope,
-)
-from banditpd.network import (
-    GraphSchedule,
-    build_mixing,
-    generate_round_graph,
+from banditpd.metrics import fit_loglog_slope, log_checkpoints, minimize_quadratic_over_polytope
+from banditpd.network import GraphSchedule, build_mixing, generate_round_graph
+from banditpd.oracle import StreamFactory, estimate_loss_grad, sample_unit_sphere
+from banditpd.problems import RegressionProblemSpec, materialize_round
+from oracles.network_checks import (  # tests/oracles, criterion 06's reference
     validate_double_stochasticity,
     validate_joint_connectivity,
 )
-from banditpd.oracle import StreamFactory, estimate_loss_grad, sample_unit_sphere
-from banditpd.problems import RegressionProblemSpec, materialize_round
 from oracles.smoothed_value import smoothed_value_mc  # tests/oracles, criterion 02's reference
 
 HEAVY_T = 10_000
@@ -55,7 +48,7 @@ def heavy_run(preset, *, b_offset=None, variant="paper", regret=False):
 
 def tail_slope(horizons, values, tail_fraction=0.5):
     cps = log_checkpoints(int(horizons[-1]))
-    return fit_loglog_slope(MetricSeries(cps, values[cps - 1]), tail_fraction)
+    return fit_loglog_slope(cps, values[cps - 1], tail_fraction)
 
 
 @pytest.fixture(scope="session")

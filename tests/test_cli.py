@@ -353,17 +353,17 @@ class TestExitCodes:
     def test_non_finite_step_exits_two(self, tmp_path, capsys):
         # The schedule resolves for horizon 960, but p / delta overflows at
         # round 902: the run stops there with an invariant violation rather
-        # than a traceback from the projection. Ten agents keep it quick; the
-        # overflow round depends only on p and the schedule.
+        # than a traceback from the projection, and prints that line alone.
+        # A numpy floating-point notice would fail the test through the
+        # error::RuntimeWarning filter in pyproject.toml. Ten agents keep it
+        # quick; the overflow round depends only on p and the schedule.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": {"n": 10},
                                         "schedule": {"overrides": {"alpha_exponent": 103.3}}}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
-            code = main(["--preset", "paper-sec4", "--config", str(cfg_path), "--horizon", "960",
-                         "--no-regret", "--seed-list", "1", "--out", str(tmp_path / "out")])
+        code = main(["--preset", "paper-sec4", "--config", str(cfg_path), "--horizon", "960",
+                     "--no-regret", "--seed-list", "1", "--out", str(tmp_path / "out")])
         assert code == EXIT_INVARIANT
-        assert "non-finite step at t=902, agent " in capsys.readouterr().err
+        assert capsys.readouterr().err == "invariant violation: non-finite step at t=902, agent 1\n"
 
     def test_comparator_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         bad = ComparatorResult(x_star=np.zeros(5), objective=0.0, converged=False,

@@ -4,21 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.derive_expected_values import quadratic_qp  # tests/oracles, the SLSQP route
 
-from banditpd import problems
+from banditpd import cli, problems
 from banditpd.engine import run_horizon
 from banditpd.geometry import Box
 from banditpd.metrics import (
     COMPARATOR_TOL,
     ComparatorResult,
-    MetricSeries,
-    TraceEvaluation,
-    comparator_loss_series,
-    cumulative_loss,
+    _mean_round_loss,
     evaluate_trace,
     fit_loglog_slope,
     log_checkpoints,
     minimize_quadratic_over_polytope,
-    network_ccv,
     network_regret,
     solve_offline_comparator,
 )
@@ -33,75 +29,60 @@ from banditpd.problems import (
 from banditpd.schedule import ScheduleOverrides, ScheduleParams, rate_envelopes
 
 
-def tiny_run(seed=11, n=3, p=2, T=25, b_offset=0.5):
+def tiny_run(seed=11, n=3, p=2, T=25, b_offset=0.5, mu_reg=0.0):
     spec = RegressionProblemSpec(n=n, p=p, q_i=2, m_i=2, halfwidth=3.0,
-                                 b_offset=b_offset, seed=seed)
+                                 b_offset=b_offset, mu_reg=mu_reg, seed=seed)
     return run_horizon(
         T, spec,
         ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=3.0, theorem_compliant=False),
         GraphSchedule(n=n, edge_prob=0.6, backbone=True, seed=seed))
 
 
-def stub_eval(ccv_inc=None, loss_inc=None):
-    k = len(ccv_inc if ccv_inc is not None else loss_inc)
-    zeros = np.zeros(k)
-    return TraceEvaluation(
-        problem=None, rounds=k,
-        mean_loss_inc=np.asarray(loss_inc, dtype=float) if loss_inc is not None else zeros,
-        ccv_inc=np.asarray(ccv_inc, dtype=float) if ccv_inc is not None else zeros,
-        quad_P=np.zeros((k, 1, 1)), quad_r=np.zeros((k, 1)), quad_c=np.zeros(k),
-        pool_normals=np.zeros((0, 1)), pool_offsets=np.zeros(0),
-    )
+def quadratic_at(ev, k, x):
+    """f_t(x) for t = k+1 from the round's coefficients, one point at a time."""
+    return 0.5 * x @ ev.quad_P[k] @ x - ev.quad_r[k] @ x + ev.quad_c[k]
 
 
-class TestMetricSeries:
-    def test_at_and_len(self):
-        s = MetricSeries(np.array([1, 5, 9]), np.array([2.0, 4.0, 8.0]))
-        assert len(s) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MetricSeries(np.array([1, 2]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            MetricSeries(np.array([2, 2]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            MetricSeries(np.array([0, 1]), np.array([1.0, 1.0]))
+# The ridge term reaches the network loss only through P_t, so the loss checks
+# run with and without it.
+MU_REGS = (0.0, 0.7)
 
 
 class TestEvaluateTrace:
     def test_matches_pointwise_oracles(self):
-        trace = tiny_run()
-        ev = evaluate_trace(trace)
-        spec = trace.problem
-        for k in (0, 7, trace.rounds - 1):
-            t = k + 1
-            losses, norms = [], []
-            for i in range(1, spec.n + 1):
-                x = trace.x_hist[k, i - 1]
-                losses.append(np.mean([
-                    eval_loss(materialize(spec, j, t), x)
-                    for j in range(1, spec.n + 1)
-                ]))
-                stacked = np.concatenate([
-                    np.clip(eval_constraint(materialize(spec, j, t), x), 0.0, None)
-                    for j in range(1, spec.n + 1)
-                ])
-                norms.append(np.linalg.norm(stacked))
-            assert ev.mean_loss_inc[k] == pytest.approx(np.mean(losses), rel=1e-12)
-            assert ev.ccv_inc[k] == pytest.approx(np.mean(norms), rel=1e-12)
+        for mu_reg in MU_REGS:
+            trace = tiny_run(mu_reg=mu_reg)
+            ev = evaluate_trace(trace)
+            spec = trace.problem
+            for k in (0, 7, trace.rounds - 1):
+                t = k + 1
+                losses, norms = [], []
+                for i in range(1, spec.n + 1):
+                    x = trace.x_hist[k, i - 1]
+                    losses.append(np.mean([
+                        eval_loss(materialize(spec, j, t), x)
+                        for j in range(1, spec.n + 1)
+                    ]))
+                    stacked = np.concatenate([
+                        np.clip(eval_constraint(materialize(spec, j, t), x), 0.0, None)
+                        for j in range(1, spec.n + 1)
+                    ])
+                    norms.append(np.linalg.norm(stacked))
+                assert ev.mean_loss_inc[k] == pytest.approx(np.mean(losses), rel=1e-12), mu_reg
+                assert ev.ccv_inc[k] == pytest.approx(np.mean(norms), rel=1e-12), mu_reg
 
     def test_quadratic_coefficients_reproduce_the_loss(self):
-        trace = tiny_run(seed=4)
-        ev = evaluate_trace(trace)
-        spec = trace.problem
-        rng = np.random.default_rng(0)
-        for k in (0, 3):
-            t = k + 1
-            for x in rng.uniform(-2, 2, size=(4, spec.p)):
-                direct = np.mean([eval_loss(materialize(spec, j, t), x)
-                                  for j in range(1, spec.n + 1)])
-                quad = (0.5 * x @ ev.quad_P[k] @ x - ev.quad_r[k] @ x + ev.quad_c[k])
-                assert quad == pytest.approx(direct, rel=1e-12)
+        for mu_reg in MU_REGS:
+            trace = tiny_run(seed=4, mu_reg=mu_reg)
+            ev = evaluate_trace(trace)
+            spec = trace.problem
+            rng = np.random.default_rng(0)
+            for k in (0, 3):
+                t = k + 1
+                for x in rng.uniform(-2, 2, size=(4, spec.p)):
+                    direct = np.mean([eval_loss(materialize(spec, j, t), x)
+                                      for j in range(1, spec.n + 1)])
+                    assert quadratic_at(ev, k, x) == pytest.approx(direct, rel=1e-12), mu_reg
 
     def test_pool_covers_every_agent_round_row(self):
         trace = tiny_run(T=6)
@@ -130,45 +111,50 @@ class TestEvaluateTrace:
         assert np.array_equal(ev.quad_P, expected.quad_P)
 
 
+def simulated(**run):
+    """A short desk run through cli.simulate, and the evaluation of its trace."""
+    cfg = cli.parse_config(preset="desk-convex-c05",
+                           overrides={"run": {"horizon": 30, "seeds": [7], **run}})
+    trace = run_horizon(cfg.horizon, cfg.problem_spec(7), cfg.schedule, cfg.graph_schedule(7))
+    return cli.simulate(cfg, 7), evaluate_trace(trace)
+
+
 class TestSeriesMetrics:
+    """cli.simulate takes the running sums of the per-round increments."""
+
     def test_ccv_is_a_running_sum(self):
-        ev = stub_eval(ccv_inc=[1.0, 2.0, 0.5])
-        s = network_ccv(ev)
-        assert np.array_equal(s.horizons, [1, 2, 3])
-        assert np.allclose(s.values, [1.0, 3.0, 3.5])
+        res, ev = simulated(regret=False)
+        assert np.array_equal(res["net_ccv"], np.cumsum(ev.ccv_inc))
 
     def test_loss_is_a_running_sum(self):
-        ev = stub_eval(loss_inc=[2.0, 2.0, 1.0])
-        s = cumulative_loss(ev)
-        assert np.allclose(s.values, [2.0, 4.0, 5.0])
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            network_ccv(stub_eval(ccv_inc=[]))
+        res, ev = simulated(regret=False)
+        assert np.array_equal(res["cum_loss"], np.cumsum(ev.mean_loss_inc))
+        assert np.isnan(res["net_regret"]).all()
 
     def test_regret_telescopes_against_loss(self):
-        trace = tiny_run()
-        ev = evaluate_trace(trace)
+        ev = evaluate_trace(tiny_run())
         comp = solve_offline_comparator(ev)
         assert comp.converged
-        reg = network_regret(ev, comp)
-        loss = cumulative_loss(ev)
-        star = np.cumsum(comparator_loss_series(ev, comp.x_star))
-        assert np.allclose(reg.values, loss.values - star, atol=1e-9)
+        # any fixed point scores the same way; the comparator's is the one reported
+        for x in (comp.x_star, np.array([0.3, -1.2])):
+            star = [quadratic_at(ev, k, x) for k in range(ev.rounds)]
+            reg = network_regret(ev, x)
+            assert reg.shape == (ev.rounds,)
+            assert np.allclose(reg, np.cumsum(ev.mean_loss_inc) - np.cumsum(star), atol=1e-9)
 
-    def test_regret_requires_convergence(self):
-        trace = tiny_run()
-        bad = ComparatorResult(x_star=np.zeros(2), objective=0.0, converged=False,
-                               max_violation=1.0, refinements=1, working_rows=4)
-        with pytest.raises(ValueError):
-            network_regret(evaluate_trace(trace), bad)
+    def test_regret_requires_convergence(self, monkeypatch):
+        bad = ComparatorResult(x_star=np.zeros(5), objective=0.0, converged=False,
+                               max_violation=1.0, refinements=1, working_rows=10)
+        monkeypatch.setattr(cli, "solve_offline_comparator", lambda ev: bad)
+        with pytest.raises(cli.ComparatorFailure, match="did not converge for seed 7"):
+            simulated(regret=True)
 
     def test_comparator_loss_series_is_the_quadratic(self):
         ev = evaluate_trace(tiny_run(seed=9, T=8))
         x = np.array([0.3, -1.2])
-        direct = [0.5 * x @ ev.quad_P[k] @ x - ev.quad_r[k] @ x + ev.quad_c[k]
-                  for k in range(ev.rounds)]
-        assert np.allclose(comparator_loss_series(ev, x), direct)
+        direct = [quadratic_at(ev, k, x) for k in range(ev.rounds)]
+        X = np.broadcast_to(x, (ev.rounds, 1, x.size))
+        assert np.allclose(_mean_round_loss(ev.quad_P, ev.quad_r, ev.quad_c, X), direct)
 
 
 class TestQuadraticMinimizer:
@@ -301,34 +287,34 @@ class TestSlopeFit:
     def test_exact_power_laws(self):
         h = np.unique(np.geomspace(1, 10_000, 200).astype(int))
         for expo in (0.5, 0.75, 1.0):
-            s = MetricSeries(h, 3.0 * h.astype(float) ** expo)
-            assert fit_loglog_slope(s, 0.5) == pytest.approx(expo, abs=1e-9)
+            assert fit_loglog_slope(h, 3.0 * h.astype(float) ** expo, 0.5) == pytest.approx(
+                expo, abs=1e-9)
 
     def test_constant_series_has_zero_slope(self):
         h = np.array([10, 100, 1000])
-        s = MetricSeries(h, np.full(3, 7.0))
-        assert fit_loglog_slope(s, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert fit_loglog_slope(h, np.full(3, 7.0), 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_tail_fraction_controls_the_window(self):
         # Values switch from slope 1 to slope 0 halfway; a short tail sees 0.
         h = np.array([1, 10, 100, 1000, 10_000])
         v = np.array([1.0, 10.0, 100.0, 100.0, 100.0])
-        assert fit_loglog_slope(MetricSeries(h, v), 0.4) == pytest.approx(0.0)
-        assert fit_loglog_slope(MetricSeries(h, v), 1.0) > 0.4
+        assert fit_loglog_slope(h, v, 0.4) == pytest.approx(0.0)
+        assert fit_loglog_slope(h, v, 1.0) > 0.4
 
     def test_nonpositive_tail_rejected(self):
-        s = MetricSeries(np.array([1, 2, 3]), np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError):
-            fit_loglog_slope(s, 1.0)
+            fit_loglog_slope(np.array([1, 2, 3]), np.array([1.0, -1.0, 2.0]), 1.0)
 
     def test_fraction_and_window_validation(self):
-        s = MetricSeries(np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]))
+        h, v = np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            fit_loglog_slope(s, 0.0)
+            fit_loglog_slope(h, v, 0.0)
         with pytest.raises(ValueError):
-            fit_loglog_slope(s, 1.5)
+            fit_loglog_slope(h, v, 1.5)
         with pytest.raises(ValueError):
-            fit_loglog_slope(s, 0.2)  # window of one point
+            fit_loglog_slope(h, v, 0.2)  # window of one point
+        with pytest.raises(ValueError):
+            fit_loglog_slope(h, v[:2], 1.0)  # unequal lengths
 
 
 class TestEnvelopes:

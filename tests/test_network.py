@@ -3,15 +3,9 @@ import re
 import numpy as np
 import pytest
 from oracles import per_agent_round as oracle
+from oracles.network_checks import validate_double_stochasticity, validate_joint_connectivity
 
-from banditpd.network import (
-    GraphSchedule,
-    backbone_edges,
-    build_mixing,
-    generate_round_graph,
-    validate_double_stochasticity,
-    validate_joint_connectivity,
-)
+from banditpd.network import GraphSchedule, backbone_edges, build_mixing, generate_round_graph
 
 
 def chain(lo, hi):
