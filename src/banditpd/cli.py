@@ -259,11 +259,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     overrides = sched["overrides"]
     try:
         schedule = ScheduleParams(
-            **{**sched, "overrides": None if overrides is None else ScheduleOverrides(**overrides)},
+            mode=sched["mode"], gamma0=sched["gamma0"], c=sched["c"], mu=sched["mu"],
+            overrides=None if overrides is None else ScheduleOverrides(**overrides),
             r_X=problem["halfwidth"])
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
-    if schedule.theorem_compliant and schedule.mode in ("theorem1", "theorem4"):
+    if sched["theorem_compliant"] and schedule.mode in ("theorem1", "theorem4"):
         if not check_gamma0_compliance(schedule, problem["p"], G2):
             raise ConfigError(
                 f"schedule.gamma0={schedule.gamma0} exceeds the compliant ceiling "
@@ -345,17 +346,13 @@ def simulate(config: ExperimentConfig, seed: int) -> dict:
     run = config.values["run"]
     trace = run_horizon(config.horizon, config.problem_spec(seed), config.schedule,
                         config.graph_schedule(seed), run["variant"], run["init_rule"])
+    ev = evaluate_trace(trace)
     result = {"trace_digest": trace.digest(), "comparator": None,
               "mean_step": trace.step_norm.mean(axis=1),
-              "mean_dual": trace.dual_norm.mean(axis=1)}
-    if trace.rounds == 0:
-        return {**result, "net_ccv": np.array([]), "cum_loss": np.array([]),
-                "net_regret": np.array([])}
-
-    ev = evaluate_trace(trace)
-    result.update(net_ccv=np.cumsum(ev.ccv_inc), cum_loss=np.cumsum(ev.mean_loss_inc),
-                  net_regret=np.full(trace.rounds, np.nan))
-    if run["regret"]:
+              "mean_dual": trace.dual_norm.mean(axis=1),
+              "net_ccv": np.cumsum(ev.ccv_inc), "cum_loss": np.cumsum(ev.mean_loss_inc),
+              "net_regret": np.full(trace.rounds, np.nan)}
+    if run["regret"] and trace.rounds:
         comp = solve_offline_comparator(ev)
         result["comparator"] = {
             "converged": comp.converged,

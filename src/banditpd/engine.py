@@ -101,13 +101,22 @@ def init_agents(n, box: Box, xi1: float, init_rule: str = "zeros",
         if streams is None:
             raise ValueError("uniform init needs a StreamFactory")
         for i in range(1, n + 1):
-            Z[i - 1] = streams.agent_round(i, 0, PURPOSE_INIT).uniform(-half, half, size=box.dim)
+            Z[i - 1] = streams.stream(i, 0, PURPOSE_INIT).uniform(-half, half, size=box.dim)
     return Z
 
 
 def _norms(V: np.ndarray) -> np.ndarray:
-    """Row norms as np.linalg.norm takes them: sqrt of each row's dot with itself."""
-    return np.sqrt(matvec(V[:, None, :], V)[:, 0])
+    """Row norms as np.linalg.norm takes them: sqrt of each row's dot with itself.
+
+    A finite row whose squares overflow takes max|v| * |v / max|v|| instead,
+    so a recorded norm or a bound built from one is inf only when the norm is.
+    """
+    norms = np.sqrt(matvec(V[:, None, :], V)[:, 0])
+    over = np.isinf(norms) & np.isfinite(V).all(axis=1)
+    if over.any():
+        top = np.abs(V[over]).max(axis=1)
+        norms[over] = top * _norms(V[over] / top[:, None])
+    return norms
 
 
 def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
@@ -123,7 +132,7 @@ def run_round(t, Z, schedule: ScheduleParams, graph: GraphSchedule,
     X = build_mixing(generate_round_graph(graph, t), n) @ Z
     A, theta, B, b = materialize_round(spec, t)
     data = ProblemInstanceAt(A, theta, B, b, spec.mu_reg)
-    U = np.stack([sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
+    U = np.stack([sample_unit_sphere(streams.stream(i, t, PURPOSE_DIRECTION), p)
                   for i in range(1, n + 1)])
     probe = X + sched.delta * U
     # Past the draws, an overflow either stops the run at one of the two finite

@@ -1,12 +1,13 @@
 """Network regret, cumulative constraint violation, the offline comparator,
 and log-log slope fitting.
 
-One pass over the trace reads each round's recorded problem data. The network
-metrics score every agent's consensus point against the averaged loss f_t =
-(1/n) sum_j f_{j,t}, which for least-squares losses is one quadratic per round,
-x'P_t x/2 - r_t'x + c_t. The pass forms those coefficients and each round's
-CCV increment from every agent's constraints, and views the pooled constraint
-halfspaces. The network loss, f_t(x*) for the regret and the offline
+evaluate_trace reads the recorded problem data of all rounds at once, with no
+loop over rounds. The network metrics score every agent's consensus point
+against the averaged loss f_t = (1/n) sum_j f_{j,t}, which for least-squares
+losses is one quadratic per round, x'P_t x/2 - r_t'x + c_t. Whole-trace
+einsums form those coefficients, each round's CCV increment sums every
+agent's clipped constraint rows, and the pooled constraint halfspaces are
+views of the trace. The network loss, f_t(x*) for the regret and the offline
 comparator all read the same (P_t, r_t, c_t).
 
 The offline comparator is one exact method: a working-set solve by NNLS
@@ -77,29 +78,24 @@ def _mean_round_loss(P, r, c, X) -> np.ndarray:
 def evaluate_trace(trace) -> TraceEvaluation:
     spec = trace.problem
     n, p = spec.n, spec.p
-    rounds = trace.rounds
-    ccv_inc = np.empty(rounds)
-    quad_P = np.empty((rounds, p, p))
-    quad_r = np.empty((rounds, p))
-    quad_c = np.empty(rounds)
-    eye = np.eye(p)
+    A, theta, X = trace.A, trace.theta, trace.x_hist
+    quad_P = np.einsum("tjqa,tjqb->tab", A, A) / n
+    if spec.mu_reg:
+        quad_P += spec.mu_reg * np.eye(p)
+    quad_r = np.einsum("tjqp,tjq->tp", A, theta) / n
+    quad_c = 0.5 * np.einsum("tjq,tjq->t", theta, theta) / n
 
-    for k in range(rounds):
-        A, theta, B, b = trace.A[k], trace.theta[k], trace.B[k], trace.b[k]
-        slack = np.einsum("jmp,ip->jim", B, trace.x_hist[k]) - b[:, None, :]
+    # |[g_t(x_{i,t})]_+|^2 summed one agent j at a time: (T, n, m), not (T, n, n, m).
+    sq = np.zeros(X.shape[:2])
+    for j in range(n):
+        slack = np.einsum("tmp,tip->tim", trace.B[:, j], X) - trace.b[:, j, None, :]
         np.clip(slack, 0.0, None, out=slack)
-        ccv_inc[k] = np.sqrt(np.einsum("jim,jim->i", slack, slack)).mean()
-
-        quad_P[k] = np.einsum("jqa,jqb->ab", A, A) / n
-        if spec.mu_reg:
-            quad_P[k] += spec.mu_reg * eye
-        quad_r[k] = np.einsum("jqp,jq->p", A, theta) / n
-        quad_c[k] = 0.5 * float(np.einsum("jq,jq->", theta, theta)) / n
+        sq += np.einsum("tim,tim->ti", slack, slack)
 
     return TraceEvaluation(
-        problem=spec, rounds=rounds,
-        mean_loss_inc=_mean_round_loss(quad_P, quad_r, quad_c, trace.x_hist),
-        ccv_inc=ccv_inc, quad_P=quad_P, quad_r=quad_r, quad_c=quad_c,
+        problem=spec, rounds=trace.rounds,
+        mean_loss_inc=_mean_round_loss(quad_P, quad_r, quad_c, X),
+        ccv_inc=np.sqrt(sq).mean(axis=1), quad_P=quad_P, quad_r=quad_r, quad_c=quad_c,
         pool_normals=trace.B.reshape(-1, p), pool_offsets=trace.b.reshape(-1),
     )
 

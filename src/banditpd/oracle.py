@@ -34,9 +34,6 @@ class StreamFactory:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(int(k) for k in key))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def agent_round(self, agent: int, t: int, purpose: int) -> np.random.Generator:
-        return self.stream(agent, t, purpose)
-
 
 @dataclass(frozen=True)
 class ProblemBounds:

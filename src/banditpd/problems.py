@@ -73,7 +73,7 @@ def materialize(spec: RegressionProblemSpec, i: int, t: int) -> ProblemInstanceA
         raise ValueError(f"agent index {i} outside 1..{spec.n}")
     if t < 1:
         raise ValueError("t must be >= 1")
-    rng = StreamFactory(spec.seed).agent_round(i, t, PURPOSE_PROBLEM)
+    rng = StreamFactory(spec.seed).stream(i, t, PURPOSE_PROBLEM)
     A = rng.uniform(-1.0, 1.0, size=(spec.q_i, spec.p))
     zeta = np.clip(rng.standard_normal(spec.q_i), -NOISE_CLIP, NOISE_CLIP)
     theta = A @ np.ones(spec.p) + zeta

@@ -48,7 +48,6 @@ class ScheduleParams:
     mu: float | None = None
     r_X: float = 1.0
     overrides: ScheduleOverrides | None = None
-    theorem_compliant: bool = True
     scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

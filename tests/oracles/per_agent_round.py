@@ -166,7 +166,7 @@ def _update_agent(i, x_i, t, sched, xi_next, box, inst, streams, variant):
     Returns (z_new, q_new, own_loss, g_clip, direction_norm, step_norm, probe).
     """
     p = box.dim
-    u = sample_unit_sphere(streams.agent_round(i, t, PURPOSE_DIRECTION), p)
+    u = sample_unit_sphere(streams.stream(i, t, PURPOSE_DIRECTION), p)
     probe = x_i + sched.delta * u
     f_x, f_probe = eval_loss(inst, x_i), eval_loss(inst, probe)
     g_x, g_probe = eval_constraint(inst, x_i), eval_constraint(inst, probe)

@@ -2,16 +2,22 @@
 look them up by (perfbench/child.py, TRACED). A rename or a changed lookup
 must fail here, not later inside a traced benchmark run. The benchmark's
 checks computed apart from the program (perfbench/checks.py) run here too,
-on a short CLI run of every preset."""
+on a short CLI run of every preset and on random configs from the whole
+config space."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from banditpd import cli
 from banditpd.engine import TRACE_ARRAYS, run_horizon
@@ -67,10 +73,22 @@ def test_child_digest_matches_run_trace_digest():
     trace = run_horizon(
         12,
         RegressionProblemSpec(n=3, p=2, q_i=1, m_i=1, halfwidth=2.0, b_offset=0.1, seed=4),
-        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=2.0, theorem_compliant=False),
+        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=2.0),
         GraphSchedule(n=3, edge_prob=0.5, backbone=True, seed=4))
     assert trace.rounds == 11 and np.any(trace.x_hist != 0.0)
     assert CHILD.trace_digest(trace) == trace.digest()
+
+
+def keeping_traces(traces):
+    """cli.run_horizon that stores each seed's TRACE_ARRAYS in traces."""
+    real_run_horizon = cli.run_horizon
+
+    def keeping_run_horizon(T, spec, *args, **kwargs):
+        trace = real_run_horizon(T, spec, *args, **kwargs)
+        traces[spec.seed] = {name: getattr(trace, name) for name in TRACE_ARRAYS}
+        return trace
+
+    return keeping_run_horizon
 
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
@@ -79,14 +97,7 @@ def test_independent_checks_pass_on_each_preset(tmp_path, monkeypatch, preset):
     # for them, against perfbench's recomputation from the round data.
     horizon, seeds = (100 if preset == "paper-sec4" else 200), [101, 102]
     traces = {}
-    real_run_horizon = cli.run_horizon
-
-    def keeping_run_horizon(T, spec, *args, **kwargs):
-        trace = real_run_horizon(T, spec, *args, **kwargs)
-        traces[spec.seed] = {name: getattr(trace, name) for name in TRACE_ARRAYS}
-        return trace
-
-    monkeypatch.setattr(cli, "run_horizon", keeping_run_horizon)
+    monkeypatch.setattr(cli, "run_horizon", keeping_traces(traces))
     out = tmp_path / "out"
     assert cli.main(["--preset", preset, "--horizon", str(horizon), "--seed-list", "101,102",
                      "--out", str(out)]) == cli.EXIT_OK
@@ -112,4 +123,54 @@ def test_singular_loss_matrix_certifies_through_the_cli(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert [e["comparator"]["converged"] for e in report["seeds"]] == [True] * 3
     failures = CHECKS.RunChecker().check(out, [101, 102, 103], 4, True)
+    assert not failures, [str(f) for f in failures]
+
+
+SCHEDULE_MODES = st.sampled_from([
+    {"mode": "theorem1", "c": 0.25}, {"mode": "theorem1", "c": 0.5},
+    {"mode": "theorem1", "c": 0.75}, {"mode": "theorem4", "mu": 0.5},
+    {"mode": "theorem4", "mu": 1.0}, {"mode": "theorem4", "mu": 3.0},
+    {"mode": "custom", "overrides": {"alpha_scale": 0.5, "alpha_exponent": 0.5,
+                                     "xi_scale": 0.5, "delta_scale": 0.1}},
+    {"mode": "custom", "overrides": {}},
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 7]), p=st.sampled_from([1, 2, 3, 6]),
+       q_i=st.sampled_from([1, 2, 4]), m_i=st.sampled_from([1, 2, 5]),
+       mu_reg=st.sampled_from([0.0, 0.5]), schedule=SCHEDULE_MODES,
+       gamma0=st.sampled_from([None, 0.5, 20.0]), compliant=st.booleans(),
+       variant=st.sampled_from(cli.VARIANTS), init_rule=st.sampled_from(["zeros", "uniform"]),
+       edge_prob=st.sampled_from([0.0, 0.3, 1.0]), horizon=st.integers(2, 60),
+       regret=st.booleans(), seeds=st.sampled_from([[1], [7, 3]]))
+def test_independent_checks_hold_over_the_config_space(
+        tmp_path_factory, n, p, q_i, m_i, mu_reg, schedule, gamma0, compliant, variant,
+        init_rule, edge_prob, horizon, regret, seeds):
+    # A gain above the compliant ceiling is a config error unless theorem_compliant
+    # is false; a run that passes its config check either exits 0 with outputs
+    # that meet perfbench's checks, or stops at a named round and agent.
+    config = {"problem": {"n": n, "p": p, "q_i": q_i, "m_i": m_i, "mu_reg": mu_reg},
+              "schedule": {**schedule, "gamma0": gamma0, "theorem_compliant": compliant},
+              "graph": {"edge_prob": edge_prob},
+              "run": {"horizon": horizon, "seeds": seeds, "variant": variant,
+                      "init_rule": init_rule, "regret": regret}}
+    work = tmp_path_factory.mktemp("config")
+    (work / "cfg.json").write_text(json.dumps(config))
+    traces, stderr = {}, io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr):
+        patch.setattr(cli, "run_horizon", keeping_traces(traces))
+        code = cli.main(["--config", str(work / "cfg.json"), "--out", str(work / "out")])
+    message = stderr.getvalue()
+    event(f"exit {code}")
+    if code == cli.EXIT_CONFIG:
+        assert re.fullmatch(r"config error: (problem|schedule|graph|run)(\.\w+)*[:= ].*\n", message)
+        return
+    if code == cli.EXIT_INVARIANT:
+        assert re.fullmatch(r"invariant violation: .* at t=\d+, agent \d+\n", message)
+        return
+    assert code == cli.EXIT_OK, message
+    failures = CHECKS.RunChecker().check(
+        work / "out", seeds, horizon, regret, traces=traces,
+        sample_rounds=CHECKS.sample_round_list(random.Random(0), horizon - 1))
     assert not failures, [str(f) for f in failures]

@@ -115,7 +115,7 @@ class TestParse:
         cfg = parse_config(preset="desk-convex-c05")
         # G2 for m_i=2, p=5 rows with entries in [0, 2] is 2 sqrt(10)
         assert cfg.schedule.gamma0 == pytest.approx(default_gamma0(5, 2 * np.sqrt(10)))
-        assert cfg.schedule.theorem_compliant
+        assert cfg.values["schedule"]["theorem_compliant"]
 
     def test_compliance_ceiling_enforced(self):
         with pytest.raises(ConfigError, match="compliant ceiling"):
@@ -364,6 +364,19 @@ class TestExitCodes:
                      "--no-regret", "--seed-list", "1", "--out", str(tmp_path / "out")])
         assert code == EXIT_INVARIANT
         assert capsys.readouterr().err == "invariant violation: non-finite step at t=902, agent 1\n"
+
+    def test_norms_past_the_square_overflow_stay_finite(self, tmp_path):
+        # The same run up to round 900: from round 32 on the duals pass 1e154,
+        # so their squares overflow while every dual entry and step is finite.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"n": 10},
+                                        "schedule": {"overrides": {"alpha_exponent": 103.3}}}))
+        out = tmp_path / "out"
+        assert main(["--preset", "paper-sec4", "--config", str(cfg_path), "--horizon", "901",
+                     "--no-regret", "--seed-list", "1", "--out", str(out)]) == EXIT_OK
+        table = np.loadtxt(out / "seed-1.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(table[:, 2:]).all()
+        assert table[-1, 5] > 1e300  # mean_dual_norm, far past where its square overflows
 
     def test_comparator_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         bad = ComparatorResult(x_star=np.zeros(5), objective=0.0, converged=False,

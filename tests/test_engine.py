@@ -33,8 +33,7 @@ def small_setup(seed=7, n=4, p=3):
     """(spec, schedule, graph): run_horizon's arguments after the horizon."""
     spec = RegressionProblemSpec(n=n, p=p, q_i=2, m_i=2, halfwidth=5.0,
                                  b_offset=0.01, seed=seed)
-    sched = ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=5.0,
-                           theorem_compliant=False)
+    sched = ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=5.0)
     graph = GraphSchedule(n=n, edge_prob=0.5, backbone=True, seed=seed)
     return spec, sched, graph
 
@@ -278,17 +277,15 @@ ORACLE_FIELDS = {"x_hist": "x", "loss": "loss", "g_clipped": "g_clipped",
 
 ORACLE_HALFWIDTH = 2.0
 SCHEDULES = {
-    "theorem1": ScheduleParams(mode="theorem1", gamma0=2.0, c=0.5, r_X=ORACLE_HALFWIDTH,
-                               theorem_compliant=False),
-    "theorem4": ScheduleParams(mode="theorem4", gamma0=0.5, mu=0.8, r_X=ORACLE_HALFWIDTH,
-                               theorem_compliant=False),
+    "theorem1": ScheduleParams(mode="theorem1", gamma0=2.0, c=0.5, r_X=ORACLE_HALFWIDTH),
+    "theorem4": ScheduleParams(mode="theorem4", gamma0=0.5, mu=0.8, r_X=ORACLE_HALFWIDTH),
     "custom": ScheduleParams(
-        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH, theorem_compliant=False,
+        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH,
         overrides=ScheduleOverrides(alpha_scale=0.5, alpha_exponent=0.5, xi_scale=0.5,
                                     delta_scale=0.1)),
     # steps far shorter than a clamp onto the shrunk set: trips the step bound
     "custom-tiny-alpha": ScheduleParams(
-        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH, theorem_compliant=False,
+        mode="custom", gamma0=5.0, r_X=ORACLE_HALFWIDTH,
         overrides=ScheduleOverrides(alpha_scale=1e-12, alpha_exponent=0.5, xi_scale=0.5,
                                     delta_scale=0.1)),
 }

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.derive_expected_values import quadratic_qp  # tests/oracles, the SLSQP route
+from oracles.per_round_metrics import evaluate_trace as per_round_evaluate_trace
 
 from banditpd import cli, problems
-from banditpd.engine import run_horizon
+from banditpd.engine import RunTrace, run_horizon
 from banditpd.geometry import Box
 from banditpd.metrics import (
     COMPARATOR_TOL,
@@ -34,7 +35,7 @@ def tiny_run(seed=11, n=3, p=2, T=25, b_offset=0.5, mu_reg=0.0):
                                  b_offset=b_offset, mu_reg=mu_reg, seed=seed)
     return run_horizon(
         T, spec,
-        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=3.0, theorem_compliant=False),
+        ScheduleParams(mode="theorem1", gamma0=0.1, c=0.5, r_X=3.0),
         GraphSchedule(n=n, edge_prob=0.6, backbone=True, seed=seed))
 
 
@@ -96,6 +97,27 @@ class TestEvaluateTrace:
         # the pool is the trace's recorded data, viewed rather than copied
         assert np.shares_memory(ev.pool_normals, trace.B)
         assert np.shares_memory(ev.pool_offsets, trace.b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 7), p=st.integers(1, 7), q=st.integers(1, 7), m=st.integers(1, 7),
+           rounds=st.integers(0, 24), mu_reg=st.sampled_from(MU_REGS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_round_reference_bit_for_bit(self, n, p, q, m, rounds, mu_reg, seed):
+        # Random round data and points of every shape, empty traces included;
+        # b has both signs, so some slack is clipped and some is not.
+        rng = np.random.default_rng(seed)
+        spec = RegressionProblemSpec(n=n, p=p, q_i=q, m_i=m, halfwidth=2.0, b_offset=0.1,
+                                     mu_reg=mu_reg, seed=1)
+        per_agent = np.zeros((rounds, n))
+        trace = RunTrace(problem=spec, x_hist=rng.uniform(-2.0, 2.0, size=(rounds, n, p)),
+                         loss=per_agent, g_clipped=np.zeros((rounds, n, m)),
+                         direction_norm=per_agent, step_norm=per_agent, dual_norm=per_agent,
+                         A=rng.normal(size=(rounds, n, q, p)), theta=rng.normal(size=(rounds, n, q)),
+                         B=rng.normal(size=(rounds, n, m, p)), b=rng.normal(size=(rounds, n, m)))
+        ev, ref = evaluate_trace(trace), per_round_evaluate_trace(trace)
+        assert ev.rounds == ref.rounds == rounds
+        for name in ("quad_P", "quad_r", "quad_c", "mean_loss_inc", "ccv_inc"):
+            assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
 
     def test_reads_the_trace_without_drawing(self, monkeypatch):
         trace = tiny_run(T=6)

@@ -21,10 +21,10 @@ def test_purpose_tags_are_distinct():
 
 def test_stream_reproducible_and_keyed():
     factory = StreamFactory(7)
-    a = factory.agent_round(3, 11, PURPOSE_DIRECTION).uniform(size=4)
-    b = StreamFactory(7).agent_round(3, 11, PURPOSE_DIRECTION).uniform(size=4)
+    a = factory.stream(3, 11, PURPOSE_DIRECTION).uniform(size=4)
+    b = StreamFactory(7).stream(3, 11, PURPOSE_DIRECTION).uniform(size=4)
     assert np.array_equal(a, b)
-    c = factory.agent_round(3, 12, PURPOSE_DIRECTION).uniform(size=4)
+    c = factory.stream(3, 12, PURPOSE_DIRECTION).uniform(size=4)
     assert not np.array_equal(a, c)
 
 

@@ -56,7 +56,7 @@ def test_materialize_uses_problem_purpose_stream():
     # The draws must come from the (agent, round, problem) stream so that
     # direction sampling can never shift them.
     inst = materialize(SPEC, 3, 9)
-    rng = StreamFactory(SPEC.seed).agent_round(3, 9, PURPOSE_PROBLEM)
+    rng = StreamFactory(SPEC.seed).stream(3, 9, PURPOSE_PROBLEM)
     A = rng.uniform(-1.0, 1.0, size=(2, 3))
     assert np.array_equal(inst.A, A)
 

@@ -59,9 +59,10 @@ def test_theorem4_xi_capped_at_one():
 
 def test_table2_preset_frozen_values():
     # the paper-sec4 preset carries the published schedule row
-    params = parse_config(preset="paper-sec4").schedule
+    config = parse_config(preset="paper-sec4")
+    params = config.schedule
     assert params.mode == "custom"
-    assert not params.theorem_compliant
+    assert not config.values["schedule"]["theorem_compliant"]
     one = round_params(params, 1)
     assert (one.alpha, one.gamma, one.xi, one.delta) == (1.0, 0.15, 1.0, 0.01)
     ten = round_params(params, 10)
@@ -123,7 +124,7 @@ def test_custom_delta_must_fit_shrunk_set():
     overrides = ScheduleOverrides(alpha_scale=1.0, alpha_exponent=1.0,
                                   xi_scale=1.0, delta_scale=3.0)
     params = ScheduleParams(mode="custom", gamma0=0.1, r_X=2.0,
-                            overrides=overrides, theorem_compliant=False)
+                            overrides=overrides)
     with pytest.raises(ValueError):
         round_params(params, 1)
 
